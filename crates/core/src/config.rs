@@ -188,13 +188,17 @@ impl PlatformConfig {
         out
     }
 
-    /// Chiplet ids hosting `class`.
+    /// Chiplet ids hosting `class`: the contiguous run of ids
+    /// [`chiplets`](Self::chiplets) assigns it, computed without
+    /// building that list. Every placement share holds one of these, so
+    /// it is allocated at its exact length.
     pub fn chiplet_ids_of(&self, class: MacClass) -> Vec<usize> {
-        self.chiplets()
-            .into_iter()
-            .filter(|c| c.class == class)
-            .map(|c| c.id)
-            .collect()
+        let first: usize = MacClass::all()
+            .iter()
+            .take_while(|&&c| c != class)
+            .map(|&c| self.class(c).chiplets)
+            .sum();
+        (first..first + self.class(class).chiplets).collect()
     }
 
     /// Total MAC *lanes* across the platform (the Σ units × lanes
@@ -306,6 +310,26 @@ mod tests {
             ]
         );
         assert_eq!(cfg.chiplet_ids_of(MacClass::Conv3), vec![5, 6, 7]);
+    }
+
+    #[test]
+    fn chiplet_ids_are_the_chiplet_list_filtered_by_class() {
+        let mut other = PlatformConfig::paper_table1();
+        other.dense.chiplets = 3;
+        other.conv7.chiplets = 0;
+        for cfg in [PlatformConfig::paper_table1(), other] {
+            for class in MacClass::all() {
+                let ids = cfg.chiplet_ids_of(class);
+                let listed: Vec<usize> = cfg
+                    .chiplets()
+                    .iter()
+                    .filter(|c| c.class == class)
+                    .map(|c| c.id)
+                    .collect();
+                assert_eq!(ids, listed, "{class:?}");
+                assert_eq!(ids.capacity(), ids.len(), "{class:?}: exact allocation");
+            }
+        }
     }
 
     #[test]

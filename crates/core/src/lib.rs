@@ -61,4 +61,4 @@ pub use error::CoreError;
 pub use flow::{max_min_shares, FlowAllocation, FlowRoute, FlowTopology};
 pub use platform::Platform;
 pub use report::{summarize, EnergyBreakdown, LayerReport, PlatformSummary, RunReport};
-pub use runner::Runner;
+pub use runner::{RunPlan, Runner};

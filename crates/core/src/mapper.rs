@@ -222,9 +222,7 @@ fn gemm_shares(
     order.sort_by(|&a, &b| {
         let fa = quotas[a] - quotas[a].floor();
         let fb = quotas[b] - quotas[b].floor();
-        fb.partial_cmp(&fa)
-            .expect("fractional quota parts are finite")
-            .then(a.cmp(&b))
+        fb.total_cmp(&fa).then(a.cmp(&b))
     });
     let mut next = 0usize;
     while remainder > 0 {

@@ -29,7 +29,7 @@ use crate::config::{MacClass, PlatformConfig};
 use crate::contention::ContentionModel;
 use crate::error::CoreError;
 use crate::mac::MacUnit;
-use crate::mapper::{place_with, PlacementPolicy};
+use crate::mapper::{place_with, Placement, PlacementPolicy};
 use crate::platform::Platform;
 use crate::report::{EnergyBreakdown, LayerReport, RunReport};
 
@@ -52,6 +52,42 @@ pub struct Runner {
     tracer: Tracer,
     metrics: MetricsRegistry,
     placement: PlacementPolicy,
+}
+
+/// The contention-independent half of a run ([`Runner::plan`]): one
+/// stream's workloads, borrowed, and the placement of each under the
+/// planning runner's configuration and [`PlacementPolicy`]. The plan
+/// borrows that runner too and always executes on it, so it cannot be
+/// paired with another stream or another configuration.
+#[derive(Debug)]
+pub struct RunPlan<'a> {
+    runner: &'a Runner,
+    platform: Platform,
+    model_name: &'a str,
+    workloads: &'a [lumos_dnn::LayerWorkload],
+    placements: Vec<Placement>,
+}
+
+impl RunPlan<'_> {
+    /// Each workload's placement, in execution order.
+    pub fn placements(&self) -> &[Placement] {
+        &self.placements
+    }
+
+    /// Executes the plan under `contention` on the runner that made it:
+    /// the layer-by-layer simulation of [`Runner::run_workloads_scaled`]
+    /// without its placement step. Executing one plan under several
+    /// contention models gives, model for model, the reports
+    /// [`Runner::run_workloads_scaled`] gives.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadConfig`] for shares outside `(0, 1]`,
+    /// [`CoreError::InfeasiblePhotonics`] when the photonic interposer
+    /// cannot close its link budget at the allocated bandwidth.
+    pub fn execute(&self, contention: &ContentionModel) -> Result<RunReport, CoreError> {
+        self.runner.execute(self, contention)
+    }
 }
 
 // Trace lanes (tids) of one platform run: the rolled-up per-layer op on
@@ -286,6 +322,10 @@ impl Runner {
     /// energy across tenants should use the uncontended run's energy,
     /// which time-sharing conserves.
     ///
+    /// This is [`Runner::plan`] followed by [`RunPlan::execute`];
+    /// callers that run one stream under many contention models should
+    /// plan it once and execute the plan per model.
+    ///
     /// # Errors
     ///
     /// Same as [`Runner::run`], plus [`CoreError::BadConfig`] for
@@ -297,8 +337,64 @@ impl Runner {
         workloads: &[lumos_dnn::LayerWorkload],
         contention: &ContentionModel,
     ) -> Result<RunReport, CoreError> {
+        self.plan(platform, model_name, workloads)?
+            .execute(contention)
+    }
+
+    /// The contention-independent half of a run: validates the
+    /// configuration and places every workload under the runner's
+    /// [`PlacementPolicy`], once. The plan borrows this runner,
+    /// `workloads` and the name, so [`RunPlan::execute`] always runs
+    /// it on this runner's configuration and this stream.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadConfig`] for inconsistent configurations or
+    /// placement pins, [`CoreError::UnmappableLayer`] for kernels no
+    /// class covers.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use lumos_core::{ContentionModel, Platform, PlatformConfig, Runner};
+    /// use lumos_dnn::workload::{extract_workloads, Precision};
+    ///
+    /// let runner = Runner::new(PlatformConfig::paper_table1());
+    /// let work = extract_workloads(&lumos_dnn::zoo::lenet5(), Precision::int8());
+    /// let plan = runner.plan(&Platform::Siph2p5D, "lenet5", &work)?;
+    /// let solo = plan.execute(&ContentionModel::uncontended())?;
+    /// let half = plan.execute(&ContentionModel::of_resident_streams(2))?;
+    /// assert!(half.total_latency > solo.total_latency);
+    /// # Ok::<(), lumos_core::error::CoreError>(())
+    /// ```
+    pub fn plan<'a>(
+        &'a self,
+        platform: &Platform,
+        model_name: &'a str,
+        workloads: &'a [lumos_dnn::LayerWorkload],
+    ) -> Result<RunPlan<'a>, CoreError> {
         self.cfg.validate()?;
+        let placements = workloads
+            .iter()
+            .map(|w| place_with(&self.cfg, w, &self.placement))
+            .collect::<Result<_, _>>()?;
+        Ok(RunPlan {
+            runner: self,
+            platform: *platform,
+            model_name,
+            workloads,
+            placements,
+        })
+    }
+
+    /// [`RunPlan::execute`]: `plan` was made by this runner.
+    fn execute(
+        &self,
+        plan: &RunPlan<'_>,
+        contention: &ContentionModel,
+    ) -> Result<RunReport, CoreError> {
         contention.validate()?;
+        let platform = &plan.platform;
         let bw_share = contention.bandwidth_share();
         let calib = &self.cfg.calibration;
         let mut backend = self.build_backend(platform, contention)?;
@@ -343,7 +439,7 @@ impl Runner {
         };
 
         let mut t = SimTime::ZERO;
-        let mut layers = Vec::with_capacity(workloads.len());
+        let mut layers = Vec::with_capacity(plan.workloads.len());
         let mut mac_active_j = 0.0;
         let mut active_idle_correction_j = 0.0;
         let mut bits_moved = 0u64;
@@ -353,8 +449,7 @@ impl Runner {
         // naturally overlap them with layer i's tail traffic).
         let mut prev_start: Option<SimTime> = None;
 
-        for w in workloads {
-            let placement = place_with(&self.cfg, w, &self.placement)?;
+        for (w, placement) in plan.workloads.iter().zip(&plan.placements) {
             // Per-share compute: every class runs its passes in
             // parallel; the layer's compute span is the slowest share
             // (the throughput-proportional GEMM split keeps the shares
@@ -727,7 +822,7 @@ impl Runner {
         }
 
         Ok(RunReport {
-            model: model_name.to_owned(),
+            model: plan.model_name.to_owned(),
             platform: *platform,
             total_latency: t,
             energy,

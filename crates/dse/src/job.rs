@@ -59,8 +59,10 @@ pub fn available_threads() -> usize {
 /// returning results in input order.
 ///
 /// Work is dealt through an atomic index, so a slow point never stalls
-/// the queue behind it. With one thread (or one point) evaluation runs
-/// inline — the sequential baseline the property tests compare against.
+/// the queue behind it. The calling thread is one of the `threads`
+/// workers, so only `threads - 1` are spawned. With one thread (or one
+/// point) evaluation runs inline — the sequential baseline the property
+/// tests compare against.
 ///
 /// # Panics
 ///
@@ -84,28 +86,27 @@ where
     }
 
     let next = AtomicUsize::new(0);
+    let work = || {
+        let mut local = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            local.push((i, eval(&points[i])));
+        }
+        local
+    };
     let buckets: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, eval(&points[i])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        // The caller deals itself in; a panic here unwinds through the
+        // scope, which joins the spawned workers first.
+        let own = work();
+        std::iter::once(own)
+            .chain(handles.into_iter().map(|h| match h.join() {
                 Ok(local) => local,
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
+            }))
             .collect()
     });
 
@@ -570,6 +571,35 @@ mod tests {
         let line = engine_stats_line(&cache, job.thread_count());
         assert!(line.starts_with("engine: 2 worker threads | memo cache: "));
         assert!(line.contains("2 entries resident"), "{line}");
+    }
+
+    /// A panic on either side of the pool — the calling thread, which
+    /// deals itself in, or the spawned worker — resumes on the caller.
+    /// A barrier makes the first two points run on different threads,
+    /// and the panic fires on the chosen side.
+    #[test]
+    fn panics_on_the_caller_or_a_spawned_worker_both_resume() {
+        let caller = std::thread::current().id();
+        for on_caller in [true, false] {
+            let barrier = std::sync::Barrier::new(2);
+            let points: Vec<u64> = (0..8).collect();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                parallel_map(&points, 2, |&x| {
+                    if x < 2 {
+                        barrier.wait();
+                        if (std::thread::current().id() == caller) == on_caller {
+                            panic!("boom on_caller={on_caller}");
+                        }
+                    }
+                    x
+                })
+            }));
+            let payload = outcome.expect_err("the panic resumes on the caller");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("formatted panic message");
+            assert_eq!(message, &format!("boom on_caller={on_caller}"));
+        }
     }
 
     #[test]

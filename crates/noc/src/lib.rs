@@ -36,5 +36,5 @@ pub mod topology;
 
 pub use link::{LinkModel, RouterModel};
 pub use network::{MeshNetwork, MeshTransfer};
-pub use routing::{hop_count, xy_route};
+pub use routing::{hop_count, xy_hops, xy_route, XyHops};
 pub use topology::{Coord, DirectedLink, Mesh};

@@ -8,12 +8,10 @@
 //! the hotspot behaviour that throttles the paper's 2.5D electrical
 //! baseline around the memory chiplet.
 
-use std::collections::HashMap;
-
 use lumos_sim::{BandwidthServer, LatencyHistogram, SimTime};
 
 use crate::link::{LinkModel, RouterModel};
-use crate::routing::xy_route;
+use crate::routing::xy_hops;
 use crate::topology::{Coord, DirectedLink, Mesh};
 
 /// Outcome of one mesh transfer.
@@ -47,7 +45,9 @@ pub struct MeshNetwork {
     mesh: Mesh,
     link_model: LinkModel,
     router_model: RouterModel,
-    links: HashMap<DirectedLink, BandwidthServer>,
+    /// One server per node and outgoing direction, at
+    /// [`link_slot`]; slots of links off the mesh edge stay unused.
+    links: Vec<BandwidthServer>,
     energy_j: f64,
     bits_moved: u64,
     latencies: LatencyHistogram,
@@ -57,11 +57,7 @@ pub struct MeshNetwork {
 impl MeshNetwork {
     /// Builds a mesh network with explicit models.
     pub fn new(mesh: Mesh, link_model: LinkModel, router_model: RouterModel) -> Self {
-        let links = mesh
-            .links()
-            .into_iter()
-            .map(|l| (l, BandwidthServer::new(link_model.bandwidth_gbps())))
-            .collect();
+        let links = vec![BandwidthServer::new(link_model.bandwidth_gbps()); 4 * mesh.node_count()];
         MeshNetwork {
             mesh,
             link_model,
@@ -113,29 +109,27 @@ impl MeshNetwork {
                 hops: 0,
             };
         }
-        let path = xy_route(&self.mesh, src, dst);
+        let path = xy_hops(&self.mesh, src, dst);
+        let hops = path.len() as u32;
         let per_hop = self.router_model.hop_latency() + self.link_model.traversal_latency();
+        let hop_energy_j =
+            self.link_model.energy_joules(bits) + self.router_model.energy_joules(bits);
 
         let mut head = at;
         let mut start = None;
         let mut tail_finish = at;
-        for link in &path {
-            let server = self
-                .links
-                .get_mut(link)
-                .expect("xy_route yields only mesh links");
-            let grant = server.serve(head, bits);
+        for link in path {
+            let grant = self.links[link_slot(&self.mesh, link)].serve(head, bits);
             start.get_or_insert(grant.start);
             head = grant.start + per_hop;
             tail_finish = grant.finish + per_hop;
-            self.energy_j +=
-                self.link_model.energy_joules(bits) + self.router_model.energy_joules(bits);
+            self.energy_j += hop_energy_j;
         }
         self.bits_moved += bits;
         let result = MeshTransfer {
             start: start.expect("path is non-empty"),
             finish: tail_finish,
-            hops: path.len() as u32,
+            hops,
         };
         self.latencies.record(result.finish.saturating_sub(at));
         self.last_finish = self.last_finish.max(result.finish);
@@ -180,7 +174,7 @@ impl MeshNetwork {
                 hops: 0,
             };
         }
-        let path = xy_route(&self.mesh, src, dst);
+        let path = xy_hops(&self.mesh, src, dst);
         let hops = path.len() as u64;
         let per_hop = self.router_model.hop_latency() + self.link_model.packet_hop_latency();
         let packet_ser =
@@ -196,18 +190,15 @@ impl MeshNetwork {
         // equivalent link occupancy bits.
         let equiv_bits =
             (duration.as_ps() as f64 * self.link_model.bandwidth_gbps() / 1e3).ceil() as u64;
+        let hop_energy_j =
+            self.link_model.energy_joules(bits) + self.router_model.energy_joules(bits);
         let mut start = None;
         let mut finish = at;
-        for link in &path {
-            let server = self
-                .links
-                .get_mut(link)
-                .expect("xy_route yields only mesh links");
-            let grant = server.serve(at, equiv_bits);
+        for link in path {
+            let grant = self.links[link_slot(&self.mesh, link)].serve(at, equiv_bits);
             start.get_or_insert(grant.start);
             finish = finish.max(grant.finish);
-            self.energy_j +=
-                self.link_model.energy_joules(bits) + self.router_model.energy_joules(bits);
+            self.energy_j += hop_energy_j;
         }
         self.bits_moved += bits;
         let result = MeshTransfer {
@@ -291,7 +282,7 @@ impl MeshNetwork {
 
     /// Resets all link state and statistics.
     pub fn reset(&mut self) {
-        for s in self.links.values_mut() {
+        for s in &mut self.links {
             s.reset();
         }
         self.energy_j = 0.0;
@@ -299,6 +290,22 @@ impl MeshNetwork {
         self.latencies = LatencyHistogram::new();
         self.last_finish = SimTime::ZERO;
     }
+}
+
+/// The dense index of `link`'s server: its source node in row-major
+/// order times four outgoing directions (+x, −x, +y, −y).
+fn link_slot(mesh: &Mesh, link: DirectedLink) -> usize {
+    let DirectedLink { from, to } = link;
+    let dir = if to.x > from.x {
+        0
+    } else if to.x < from.x {
+        1
+    } else if to.y > from.y {
+        2
+    } else {
+        3
+    };
+    4 * (from.y * mesh.cols() + from.x) as usize + dir
 }
 
 #[cfg(test)]
@@ -484,6 +491,23 @@ mod tests {
         // serializes per-link but overlaps, so they agree within a hop.
         let diff = t.finish.saturating_sub(est).as_ps() as f64;
         assert!(diff < 2.0 * 2_140.0 * 3.0, "estimate too far off: {diff}");
+    }
+
+    #[test]
+    fn link_slots_are_distinct_and_in_range() {
+        for (cols, rows) in [(1, 1), (3, 3), (4, 2), (1, 5), (6, 1)] {
+            let mesh = Mesh::new(cols, rows);
+            let mut slots: Vec<usize> = mesh
+                .links()
+                .into_iter()
+                .map(|l| link_slot(&mesh, l))
+                .collect();
+            assert!(slots.iter().all(|&s| s < 4 * mesh.node_count()));
+            let n = slots.len();
+            slots.sort_unstable();
+            slots.dedup();
+            assert_eq!(slots.len(), n, "{cols}x{rows}: slots collide");
+        }
     }
 
     #[test]

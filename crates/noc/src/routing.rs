@@ -25,36 +25,69 @@ use crate::topology::{Coord, DirectedLink, Mesh};
 /// assert_eq!(path[2].to, Coord::new(2, 1));
 /// ```
 pub fn xy_route(mesh: &Mesh, src: Coord, dst: Coord) -> Vec<DirectedLink> {
+    xy_hops(mesh, src, dst).collect()
+}
+
+/// The XY route from `src` to `dst` as a non-allocating iterator over
+/// its links, in path order — [`xy_route`] without the `Vec`.
+///
+/// # Panics
+///
+/// Panics if either endpoint is outside the mesh.
+///
+/// # Examples
+///
+/// ```
+/// use lumos_noc::routing::{xy_hops, xy_route};
+/// use lumos_noc::topology::{Coord, Mesh};
+///
+/// let mesh = Mesh::new(3, 3);
+/// let hops = xy_hops(&mesh, Coord::new(2, 0), Coord::new(0, 2));
+/// assert_eq!(hops.len(), 4);
+/// assert!(hops.eq(xy_route(&mesh, Coord::new(2, 0), Coord::new(0, 2))));
+/// ```
+pub fn xy_hops(mesh: &Mesh, src: Coord, dst: Coord) -> XyHops {
     assert!(mesh.contains(src), "source {src} outside mesh");
     assert!(mesh.contains(dst), "destination {dst} outside mesh");
-    let mut path = Vec::with_capacity(src.manhattan(dst) as usize);
-    let mut cur = src;
-    while cur.x != dst.x {
-        let next = if dst.x > cur.x {
-            Coord::new(cur.x + 1, cur.y)
-        } else {
-            Coord::new(cur.x - 1, cur.y)
-        };
-        path.push(DirectedLink {
-            from: cur,
-            to: next,
-        });
-        cur = next;
-    }
-    while cur.y != dst.y {
-        let next = if dst.y > cur.y {
-            Coord::new(cur.x, cur.y + 1)
-        } else {
-            Coord::new(cur.x, cur.y - 1)
-        };
-        path.push(DirectedLink {
-            from: cur,
-            to: next,
-        });
-        cur = next;
-    }
-    path
+    XyHops { cur: src, dst }
 }
+
+/// Iterator over the links of an XY route ([`xy_hops`]): along x
+/// first, then along y.
+#[derive(Debug, Clone)]
+pub struct XyHops {
+    cur: Coord,
+    dst: Coord,
+}
+
+impl Iterator for XyHops {
+    type Item = DirectedLink;
+
+    fn next(&mut self) -> Option<DirectedLink> {
+        let (cur, dst) = (self.cur, self.dst);
+        let next = if cur.x != dst.x {
+            let x = if dst.x > cur.x { cur.x + 1 } else { cur.x - 1 };
+            Coord::new(x, cur.y)
+        } else if cur.y != dst.y {
+            let y = if dst.y > cur.y { cur.y + 1 } else { cur.y - 1 };
+            Coord::new(cur.x, y)
+        } else {
+            return None;
+        };
+        self.cur = next;
+        Some(DirectedLink {
+            from: cur,
+            to: next,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.cur.manhattan(self.dst) as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for XyHops {}
 
 /// Number of router traversals on the XY route (hops + 1 routers, but the
 /// convention here counts intermediate + destination routers = hops).

@@ -1,11 +1,37 @@
 //! Property-based tests for mesh network invariants.
 
-use lumos_noc::{xy_route, Coord, Mesh, MeshNetwork};
+use lumos_noc::{xy_hops, xy_route, Coord, DirectedLink, Mesh, MeshNetwork};
 use lumos_sim::SimTime;
 use proptest::prelude::*;
 
 fn coord_strategy(cols: u32, rows: u32) -> impl Strategy<Value = Coord> {
     (0..cols, 0..rows).prop_map(|(x, y)| Coord::new(x, y))
+}
+
+/// The XY route built hop by hop into a `Vec`, written out
+/// independently of the library's iterator: x first, then y.
+fn reference_route(src: Coord, dst: Coord) -> Vec<DirectedLink> {
+    let mut path = Vec::new();
+    let mut cur = src;
+    while cur.x != dst.x {
+        let x = if dst.x > cur.x { cur.x + 1 } else { cur.x - 1 };
+        let next = Coord::new(x, cur.y);
+        path.push(DirectedLink {
+            from: cur,
+            to: next,
+        });
+        cur = next;
+    }
+    while cur.y != dst.y {
+        let y = if dst.y > cur.y { cur.y + 1 } else { cur.y - 1 };
+        let next = Coord::new(cur.x, y);
+        path.push(DirectedLink {
+            from: cur,
+            to: next,
+        });
+        cur = next;
+    }
+    path
 }
 
 proptest! {
@@ -31,6 +57,34 @@ proptest! {
             prop_assert!(mesh.contains(link.from) && mesh.contains(link.to));
             prop_assert_eq!(link.from.manhattan(link.to), 1);
         }
+    }
+
+    /// On random meshes and endpoints, the hop iterator yields exactly
+    /// the reference route's links, reports its exact length up front,
+    /// and collects into `xy_route`.
+    #[test]
+    fn hop_iterator_matches_xy_route(
+        cols in 1u32..10,
+        rows in 1u32..10,
+        sx in 0u32..1_000,
+        sy in 0u32..1_000,
+        dx in 0u32..1_000,
+        dy in 0u32..1_000,
+    ) {
+        let mesh = Mesh::new(cols, rows);
+        let src = Coord::new(sx % cols, sy % rows);
+        let dst = Coord::new(dx % cols, dy % rows);
+        let expected = reference_route(src, dst);
+        let mut hops = xy_hops(&mesh, src, dst);
+        prop_assert_eq!(hops.len(), expected.len());
+        let mut yielded = Vec::new();
+        while let Some(link) = hops.next() {
+            yielded.push(link);
+            prop_assert_eq!(hops.len(), expected.len() - yielded.len());
+        }
+        prop_assert_eq!(hops.next(), None);
+        prop_assert_eq!(&yielded, &expected);
+        prop_assert_eq!(xy_route(&mesh, src, dst), expected);
     }
 
     /// Transfers never finish before they start, never start before

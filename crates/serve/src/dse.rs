@@ -14,9 +14,8 @@
 //! `latency_ms` holds the aggregate **p99**, with serving power and
 //! energy-per-bit alongside.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::OnceLock;
 
 use lumos_core::dse::{config_fingerprint, workloads_fingerprint};
 use lumos_core::Platform;
@@ -141,6 +140,13 @@ fn grid_config(
 /// Points come back in grid order regardless of thread count; failed
 /// points carry `feasible = false` rather than being dropped.
 ///
+/// `threads` sizes the pool over grid points. Each platform's profile
+/// build ([`build_profiles`]) tabulates on its own pool of
+/// [`lumos_dse::available_threads`] workers, and builds of different
+/// platforms may overlap, so up to `threads × available_threads()`
+/// threads can run while profiles build. Set `LUMOS_DSE_THREADS=1` as
+/// well for a single-threaded sweep.
+///
 /// # Errors
 ///
 /// Returns [`ServeError::BadConfig`] when the grid is empty.
@@ -163,28 +169,24 @@ pub fn sweep(
     let job = SweepJob::new(grid.clone()).threads(threads);
     // Service profiles depend only on the platform (not load or
     // policy), so points that miss the memo share one profile build per
-    // platform. Built lazily: a fully-warm sweep never simulates.
-    let profile_cache: Mutex<HashMap<Platform, Arc<ServiceProfiles>>> = Mutex::new(HashMap::new());
+    // platform: one cell per platform, built lazily and exactly once (a
+    // fully-warm sweep never simulates). A failed build is kept as
+    // `None`.
+    let profiles_of: Vec<OnceLock<Option<ServiceProfiles>>> =
+        platforms.iter().map(|_| OnceLock::new()).collect();
     let (metrics, stats) = job.run_memoized(
         cache,
         |&(p, l, pol)| serve_key(&grid_config(base, p, l, pol)),
         |&(p, l, pol)| {
             let cfg = grid_config(base, p, l, pol);
-            let profiles = {
-                let mut map = profile_cache.lock().expect("profile cache poisoned");
-                match map.get(&p) {
-                    Some(existing) => Arc::clone(existing),
-                    None => match build_profiles(&cfg) {
-                        Ok(built) => {
-                            let built = Arc::new(built);
-                            map.insert(p, Arc::clone(&built));
-                            built
-                        }
-                        Err(_) => return DseMetrics::infeasible(),
-                    },
-                }
+            let slot = platforms
+                .iter()
+                .position(|&q| q == p)
+                .expect("grid platforms come from the platform list");
+            let Some(profiles) = profiles_of[slot].get_or_init(|| build_profiles(&cfg).ok()) else {
+                return DseMetrics::infeasible();
             };
-            match simulate_with_profiles(&cfg, &profiles) {
+            match simulate_with_profiles(&cfg, profiles) {
                 Ok(report) => report.headline(),
                 Err(_) => DseMetrics::infeasible(),
             }

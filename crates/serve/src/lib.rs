@@ -13,9 +13,10 @@
 //!   traffic/scheduling knobs ([`ServeConfig`], including the
 //!   [`BatchPolicy`] decode-batching discipline)
 //! * [`profile`] — per-model, per-stage service times tabulated at
-//!   every contention level through
-//!   [`Runner::run_workloads_scaled`](lumos_core::runner::Runner::run_workloads_scaled),
-//!   plus 2-D stage × batch decode planes for continuous batching
+//!   every contention level (each stream planned once with
+//!   [`Runner::plan`](lumos_core::runner::Runner::plan) and executed per
+//!   level, streams in parallel), plus 2-D stage × batch decode planes
+//!   for continuous batching
 //! * [`sim`] — the open-loop discrete-event core ([`simulate`]):
 //!   seeded Poisson arrivals, pluggable admission policies
 //!   ([`ServePolicy`]: FIFO, round-robin, shortest-job-first,

@@ -7,10 +7,11 @@
 //! ([`ContentionModel::of_resident_streams`]). Rather than
 //! re-simulating a stream every time the residency changes, the
 //! profile tabulates each model's latency at every contention level
-//! `1..=max_concurrency` up front through
-//! [`Runner::run_workloads_scaled`]; the event loop then advances each
-//! resident stream's remaining-work fraction at the rate the current
-//! residency implies.
+//! `1..=max_concurrency` up front — each stream placed once
+//! ([`Runner::plan`]) and executed per level ([`RunPlan::execute`]),
+//! which is [`Runner::run_workloads_scaled`] cell for cell; the event
+//! loop then advances each resident stream's remaining-work fraction at
+//! the rate the current residency implies.
 //!
 //! A model is a sequence of **stages** — one for a single-pass
 //! inference, prefill plus one stage per generated token for a
@@ -25,12 +26,13 @@
 //! uniform discipline's exact table lookups stay bit-for-bit intact.
 //!
 //! [`SharePolicy::SloPressure`]: lumos_dse::SharePolicy::SloPressure
+//! [`RunPlan::execute`]: lumos_core::RunPlan::execute
 
 use lumos_core::contention::ContentionModel;
 use lumos_core::flow::{FlowRoute, FlowTopology};
 use lumos_core::mac::MacUnit;
-use lumos_core::mapper::place;
 use lumos_core::{MacClass, Platform, Runner};
+use lumos_dnn::LayerWorkload;
 use lumos_dse::ContentionKind;
 
 use crate::config::ServeConfig;
@@ -264,9 +266,48 @@ pub struct ServiceProfiles {
     pub flow: Option<FlowModel>,
 }
 
+/// One independently tabulated workload stream of a model: a stage as
+/// lowered, or a decode step re-lowered with `b ≥ 2` generations
+/// coalesced (a continuous-batching plane entry).
+enum Stream<'m> {
+    Stage(usize, &'m [LayerWorkload]),
+    Batched { step: usize, b: usize },
+}
+
+/// What tabulating one [`Stream`] yields: latencies and the terms the
+/// model totals fold in, never whole reports, so a pool of jobs stays
+/// small.
+struct StreamCells {
+    /// Latency at uniform share `1/k`, `k = 1..=depth`, seconds.
+    column: Vec<f64>,
+    /// Flow-level plane `[k-1][j-1]` (stages under
+    /// [`ContentionKind::FlowLevel`] only; empty otherwise).
+    plane: Vec<Vec<f64>>,
+    /// Energy of the `k = 1` run, joules.
+    energy_j: f64,
+    /// Bits the `k = 1` run moved.
+    bits: u64,
+    /// Per MAC class ([`MacClass::all`] order), the unit-seconds of each
+    /// placement share of that class, in placement order (stages only).
+    /// Kept term by term: the model total adds them one at a time, so
+    /// its rounding is that of a sequential build.
+    unit_seconds: [Vec<f64>; 4],
+    /// Every placement's chiplets, in placement order (flow-level
+    /// stages only).
+    chiplets: Vec<usize>,
+}
+
 /// Builds the service profiles for `cfg` by running every stage of
 /// every model through the platform simulator at every contention
 /// level.
+///
+/// Each stream (a stage, or a decode step at batch depth `b ≥ 2`) is
+/// placed once ([`Runner::plan`]) and executed at every contention cell
+/// it needs ([`RunPlan::execute`](lumos_core::RunPlan::execute)). A
+/// model's streams are tabulated in parallel on
+/// [`lumos_dse::available_threads`] workers; results come back in
+/// stream order and are folded in that order, so the profiles do not
+/// depend on the thread count.
 ///
 /// # Errors
 ///
@@ -290,85 +331,13 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
     } else {
         None
     };
+    let flow = flow_topology.is_some();
     let mut flow_routes = Vec::new();
+    let k_max = cfg.max_concurrency;
+    let threads = lumos_dse::available_threads();
 
     let mut models = Vec::with_capacity(cfg.models.len());
     for m in &cfg.models {
-        let mut stages = Vec::with_capacity(m.n_stages());
-        let mut flow_stages = Vec::new();
-        let mut energy_j = 0.0;
-        let mut bits = 0u64;
-        let mut class_unit_seconds = [0.0f64; 4];
-        let mut model_chiplets: Vec<usize> = Vec::new();
-        for (si, stage) in m.stages().enumerate() {
-            let label = if si == 0 {
-                m.name.clone()
-            } else {
-                format!("{} [step {si}]", m.name)
-            };
-            let mut service_s = Vec::with_capacity(cfg.max_concurrency);
-            for k in 1..=cfg.max_concurrency {
-                let report = runner.run_workloads_scaled(
-                    &cfg.platform,
-                    &label,
-                    stage,
-                    &ContentionModel::of_resident_streams(k),
-                )?;
-                if k == 1 {
-                    energy_j += report.energy.total_j();
-                    bits += report.bits_moved;
-                }
-                service_s.push(report.total_latency.as_secs_f64());
-            }
-
-            // Flow-level plane: compute share 1/k × bandwidth share
-            // 1/j. The diagonal j = k is the uniform column above,
-            // copied bit-for-bit (identical ContentionModel), which is
-            // what makes the degenerate all-bottlenecks-shared case
-            // reproduce the uniform simulator exactly.
-            if flow_topology.is_some() {
-                let mut plane = Vec::with_capacity(cfg.max_concurrency);
-                for k in 1..=cfg.max_concurrency {
-                    let mut col = Vec::with_capacity(cfg.max_concurrency);
-                    for j in 1..=cfg.max_concurrency {
-                        if j == k {
-                            col.push(service_s[k - 1]);
-                        } else {
-                            let contention = ContentionModel::uniform(1.0 / k as f64)
-                                .with_bandwidth_share(1.0 / j as f64);
-                            let report = runner.run_workloads_scaled(
-                                &cfg.platform,
-                                &label,
-                                stage,
-                                &contention,
-                            )?;
-                            col.push(report.total_latency.as_secs_f64());
-                        }
-                    }
-                    plane.push(col);
-                }
-                flow_stages.push(plane);
-            }
-            stages.push(service_s);
-
-            for w in stage {
-                let placement = place(&cfg.platform_cfg, w)?;
-                for share in &placement.shares {
-                    let unit = MacUnit::new(share.class, calib);
-                    // passes / rate = unit-seconds of demand, independent
-                    // of how many units (or what fraction) execute it.
-                    class_unit_seconds[share.class.index()] +=
-                        share.passes as f64 / unit.passes_per_second();
-                }
-                if flow_topology.is_some() {
-                    model_chiplets.extend(placement.chiplets.iter().copied());
-                }
-            }
-        }
-        if let Some(topo) = &flow_topology {
-            flow_routes.push(topo.route_for_chiplets(&model_chiplets));
-        }
-
         // Continuous-batching decode planes. Plane 1 is the decode
         // columns of the per-stream table (identical workloads at
         // identical contention — copied so it is bit-for-bit exact,
@@ -377,32 +346,135 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
         // `b` generations coalesced and tabulate it at every contention
         // level a `b`-deep group can coexist with
         // (`1..=max_concurrency - b + 1` execution streams).
-        let batched = if cfg.batching.is_continuous() && m.n_stages() > 1 {
-            let mut planes = vec![stages[1..].to_vec()];
-            if m.generator_spec.is_some() {
-                for b in 2..=cfg.effective_max_batch() {
-                    let depth = cfg.max_concurrency - b + 1;
-                    let mut plane = Vec::with_capacity(m.decode_steps.len());
-                    for step in 0..m.decode_steps.len() {
-                        let wl = m
-                            .decode_step_at_batch(step, b as u32)
-                            .expect("generator spec presence checked above");
-                        let label = format!("{} [step {step} x{b}]", m.name);
-                        let mut col = Vec::with_capacity(depth);
-                        for k in 1..=depth {
-                            let report = runner.run_workloads_scaled(
-                                &cfg.platform,
-                                &label,
-                                &wl,
-                                &ContentionModel::of_resident_streams(k),
-                            )?;
-                            col.push(report.total_latency.as_secs_f64());
-                        }
-                        plane.push(col);
+        let batching = cfg.batching.is_continuous() && m.n_stages() > 1;
+        let max_b = if batching && m.generator_spec.is_some() {
+            cfg.effective_max_batch()
+        } else {
+            1
+        };
+        let streams: Vec<Stream> = m
+            .stages()
+            .enumerate()
+            .map(|(si, stage)| Stream::Stage(si, stage))
+            .chain((2..=max_b).flat_map(|b| {
+                (0..m.decode_steps.len()).map(move |step| Stream::Batched { step, b })
+            }))
+            .collect();
+
+        let tabulate = |stream: &Stream| -> Result<StreamCells, ServeError> {
+            let relowered;
+            let (label, workloads, depth) = match *stream {
+                Stream::Stage(0, stage) => (m.name.clone(), stage, k_max),
+                Stream::Stage(si, stage) => (format!("{} [step {si}]", m.name), stage, k_max),
+                Stream::Batched { step, b } => {
+                    relowered = m
+                        .decode_step_at_batch(step, b as u32)
+                        .expect("only generators get batched streams");
+                    let label = format!("{} [step {step} x{b}]", m.name);
+                    (label, relowered.as_slice(), k_max - b + 1)
+                }
+            };
+            let plan = runner.plan(&cfg.platform, &label, workloads)?;
+            let mut cells = StreamCells {
+                column: Vec::with_capacity(depth),
+                plane: Vec::new(),
+                energy_j: 0.0,
+                bits: 0,
+                unit_seconds: Default::default(),
+                chiplets: Vec::new(),
+            };
+            for k in 1..=depth {
+                let report = plan.execute(&ContentionModel::of_resident_streams(k))?;
+                if k == 1 {
+                    cells.energy_j = report.energy.total_j();
+                    cells.bits = report.bits_moved;
+                }
+                cells.column.push(report.total_latency.as_secs_f64());
+            }
+            if let Stream::Batched { .. } = stream {
+                return Ok(cells);
+            }
+
+            // Flow-level plane: compute share 1/k × bandwidth share
+            // 1/j. The diagonal j = k is the uniform column above,
+            // copied bit-for-bit (identical ContentionModel), which is
+            // what makes the degenerate all-bottlenecks-shared case
+            // reproduce the uniform simulator exactly.
+            if flow {
+                for k in 1..=k_max {
+                    let mut col = Vec::with_capacity(k_max);
+                    for j in 1..=k_max {
+                        col.push(if j == k {
+                            cells.column[k - 1]
+                        } else {
+                            let contention = ContentionModel::uniform(1.0 / k as f64)
+                                .with_bandwidth_share(1.0 / j as f64);
+                            plan.execute(&contention)?.total_latency.as_secs_f64()
+                        });
                     }
-                    planes.push(plane);
+                    cells.plane.push(col);
                 }
             }
+
+            for placement in plan.placements() {
+                for share in &placement.shares {
+                    let unit = MacUnit::new(share.class, calib);
+                    // passes / rate = unit-seconds of demand, independent
+                    // of how many units (or what fraction) execute it.
+                    cells.unit_seconds[share.class.index()]
+                        .push(share.passes as f64 / unit.passes_per_second());
+                }
+                if flow {
+                    cells.chiplets.extend_from_slice(&placement.chiplets);
+                }
+            }
+            Ok(cells)
+        };
+
+        let mut stages = Vec::with_capacity(m.n_stages());
+        let mut flow_stages = Vec::new();
+        let mut batched_planes: Vec<Vec<Vec<f64>>> = Vec::new();
+        let mut energy_j = 0.0;
+        let mut bits = 0u64;
+        let mut class_unit_seconds = [0.0f64; 4];
+        let mut model_chiplets: Vec<usize> = Vec::new();
+        // Fold every stream's cells into the model totals in stream
+        // order — term by term, exactly the sequential sums.
+        for (stream, cells) in streams
+            .iter()
+            .zip(lumos_dse::parallel_map(&streams, threads, tabulate))
+        {
+            let cells = cells?;
+            match *stream {
+                Stream::Stage(..) => {
+                    energy_j += cells.energy_j;
+                    bits += cells.bits;
+                    for (total, terms) in class_unit_seconds.iter_mut().zip(cells.unit_seconds) {
+                        for unit_s in terms {
+                            *total += unit_s;
+                        }
+                    }
+                    model_chiplets.extend(cells.chiplets);
+                    if flow {
+                        flow_stages.push(cells.plane);
+                    }
+                    stages.push(cells.column);
+                }
+                Stream::Batched { step, b } => {
+                    if step == 0 {
+                        batched_planes.push(Vec::with_capacity(m.decode_steps.len()));
+                    }
+                    debug_assert_eq!(batched_planes.len(), b - 1);
+                    batched_planes[b - 2].push(cells.column);
+                }
+            }
+        }
+        if let Some(topo) = &flow_topology {
+            flow_routes.push(topo.route_for_chiplets(&model_chiplets));
+        }
+        let batched = if batching {
+            let mut planes = vec![stages[1..].to_vec()];
+            planes.extend(batched_planes);
             planes
         } else {
             Vec::new()

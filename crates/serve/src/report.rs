@@ -359,7 +359,7 @@ mod tests {
     fn shared_percentiles_bit_identical_to_legacy_inline() {
         fn legacy(samples: &[f64]) -> Percentiles {
             let mut sorted = samples.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite latency samples"));
+            sorted.sort_by(f64::total_cmp);
             let rank = |q: f64| -> f64 {
                 let idx = (q * sorted.len() as f64).ceil() as usize;
                 sorted[idx.max(1) - 1] * 1e3

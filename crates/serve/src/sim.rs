@@ -572,8 +572,7 @@ fn generate_arrivals(cfg: &ServeConfig) -> Vec<Pending> {
     }
     arrivals.sort_by(|a, b| {
         a.arrival_s
-            .partial_cmp(&b.arrival_s)
-            .expect("finite arrival times")
+            .total_cmp(&b.arrival_s)
             .then_with(|| a.model.cmp(&b.model))
     });
     // Trace identities follow the merged arrival order, so `id` is
@@ -593,12 +592,8 @@ fn select_next(
     rr_cursor: &mut usize,
 ) -> Option<usize> {
     let min_of = |it: &mut dyn Iterator<Item = (f64, usize)>| -> Option<usize> {
-        it.min_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .expect("finite scheduling keys")
-                .then_with(|| a.1.cmp(&b.1))
-        })
-        .map(|(_, i)| i)
+        it.min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
+            .map(|(_, i)| i)
     };
     match cfg.policy {
         ServePolicy::Fifo => min_of(
@@ -958,11 +953,7 @@ fn run_per_stream(
             .iter()
             .enumerate()
             .map(|(i, r)| (now + r.remaining * services[i], i))
-            .min_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("finite completion times")
-                    .then_with(|| a.1.cmp(&b.1))
-            });
+            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         let arrival = arrivals.get(next_arrival).map(|p| p.arrival_s);
 
         // Completions win ties so a freed slot is visible to the
@@ -1270,11 +1261,7 @@ fn run_continuous(
             .iter()
             .enumerate()
             .map(|(j, &(_, s))| (now + rem_of(s) * services[j], j))
-            .min_by(|a, b| {
-                a.0.partial_cmp(&b.0)
-                    .expect("finite completion times")
-                    .then_with(|| a.1.cmp(&b.1))
-            });
+            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         let arrival = arrivals.get(next_arrival).map(|p| p.arrival_s);
 
         // Completions win ties so a freed slot is visible to the
