@@ -323,8 +323,7 @@ impl Ord for LinkUsage {
         // smallest fair share; among equals, the smallest link id.
         other
             .fair_share
-            .partial_cmp(&self.fair_share)
-            .expect("fair shares are finite")
+            .total_cmp(&self.fair_share)
             .then_with(|| other.id.cmp(&self.id))
     }
 }
@@ -396,6 +395,15 @@ impl FlowAllocation {
 /// Deterministic: the freeze order is a pure function of the inputs
 /// (bottlenecks tie-break by link id), so identical calls produce
 /// bit-identical allocations.
+///
+/// Each flow's share, Gb/s and bottleneck are a function of its route
+/// and the *multiset* of routes, bit for bit, whatever order the flows
+/// come in: every flow frozen at one bottleneck subtracts the same
+/// `fair` and `fair / capacity` from each link it crosses, so flow
+/// order never changes a floating-point operation, and flows on
+/// identical routes always freeze together. Callers may therefore
+/// memoize allocations by route counts. (Only the summed
+/// [`FlowAllocation::link_allocated_gbps`] depends on flow order.)
 ///
 /// # Errors
 ///

@@ -7,17 +7,22 @@
 //!
 //! Properties (max-min invariants over randomized topologies): link
 //! allocations never exceed capacity, every unsatisfied flow names a
-//! saturated bottleneck, shares are invariant under flow input order,
-//! and the fairness floor degrades monotonically as flows are added.
+//! saturated bottleneck, shares are bitwise invariant under flow input
+//! order, and the fairness floor degrades monotonically as flows are
+//! added.
 
 use lumos_core::contention::ContentionModel;
-use lumos_core::flow::{max_min_shares, FlowRoute, FlowTopology};
+use lumos_core::flow::{max_min_shares, FlowAllocation, FlowRoute, FlowTopology};
 use lumos_core::{Platform, PlatformConfig, Runner};
 use lumos_dnn::workload::extract_workloads;
 use lumos_dnn::zoo;
 use proptest::prelude::*;
 
 const PLATFORMS: [Platform; 3] = [Platform::Siph2p5D, Platform::Elec2p5D, Platform::Monolithic];
+
+/// Link capacities with many exact ties (mesh-, gateway- and HBM-like
+/// values).
+const TIE_CAPS: [f64; 4] = [256.0, 512.0, 2048.0, 3072.0];
 
 /// A pseudo-random flow problem built from proptest-drawn raw parts:
 /// capacities as drawn, each flow's route from the bits of a mask
@@ -207,28 +212,67 @@ proptest! {
         }
     }
 
-    /// Fair shares are invariant under flow input order (up to
-    /// rounding: the freeze order permutes the floating-point
-    /// subtraction sequence).
+    /// Shares are a function of the route multiset: a few distinct
+    /// routes, each repeated, solved in any order give every flow
+    /// bit-identical share, Gb/s and bottleneck, and flows on identical
+    /// routes get identical bits. Topologies are custom ones (drawn
+    /// capacities, or capacities from a tie-heavy set so fair shares
+    /// often tie across links) or the three platform topologies with
+    /// routes over chiplet subsets.
     #[test]
     fn shares_invariant_under_input_order(
+        topo_pick in 0usize..5,
         caps in proptest::collection::vec(1.0f64..4096.0, 1..6),
-        masks in proptest::collection::vec(1u32..64, 2..8),
-        rotate in 1usize..8,
+        masks in proptest::collection::vec(1u32..512, 1..5),
+        multiplicities in proptest::collection::vec(1usize..5, 4),
+        keys in proptest::collection::vec(0u64..u64::MAX, 16),
     ) {
-        let (topo, routes) = problem_from(&caps, &masks);
+        let (topo, distinct) = match topo_pick {
+            0 => problem_from(&caps, &masks),
+            1 => {
+                let tied: Vec<f64> =
+                    caps.iter().map(|&c| TIE_CAPS[c as usize % TIE_CAPS.len()]).collect();
+                problem_from(&tied, &masks)
+            }
+            p => {
+                let cfg = PlatformConfig::paper_table1();
+                let topo = FlowTopology::for_platform(&cfg, PLATFORMS[p - 2])
+                    .expect("platform topology");
+                let routes = masks
+                    .iter()
+                    .map(|&mask| {
+                        let chiplets: Vec<usize> = (0..cfg.compute_chiplets())
+                            .filter(|&c| mask & (1 << c) != 0)
+                            .collect();
+                        topo.route_for_chiplets(&chiplets)
+                    })
+                    .collect();
+                (topo, routes)
+            }
+        };
+        let routes: Vec<FlowRoute> = distinct
+            .iter()
+            .zip(&multiplicities)
+            .flat_map(|(route, &m)| std::iter::repeat_n(route.clone(), m))
+            .collect();
+        // `order[p]` is the flow that lands at position `p`.
+        let mut order: Vec<usize> = (0..routes.len()).collect();
+        order.sort_by_key(|&f| keys[f]);
+        let permuted: Vec<FlowRoute> = order.iter().map(|&f| routes[f].clone()).collect();
         let alloc = max_min_shares(&topo, &routes).expect("solves");
-        let r = rotate % routes.len();
-        let mut rotated = routes.clone();
-        rotated.rotate_left(r);
-        let alloc_rot = max_min_shares(&topo, &rotated).expect("rotated solves");
+        let alloc_perm = max_min_shares(&topo, &permuted).expect("permuted solves");
+        let bits = |a: &FlowAllocation, f: usize| {
+            (a.share(f).to_bits(), a.allocated_gbps(f).to_bits(), a.bottleneck(f))
+        };
+        for (p, &f) in order.iter().enumerate() {
+            prop_assert_eq!(bits(&alloc, f), bits(&alloc_perm, p), "flow {} at position {}", f, p);
+        }
         for f in 0..routes.len() {
-            let orig = alloc.allocated_gbps(f);
-            let rot = alloc_rot.allocated_gbps((f + routes.len() - r) % routes.len());
-            prop_assert!(
-                (orig - rot).abs() <= 1e-9 * orig.abs().max(1.0),
-                "flow {f}: {orig} vs {rot} after rotation"
-            );
+            for g in 0..f {
+                if routes[f] == routes[g] {
+                    prop_assert_eq!(bits(&alloc, f), bits(&alloc, g), "flows {} and {}", g, f);
+                }
+            }
         }
     }
 

@@ -201,11 +201,14 @@ impl MetricsRegistry {
     }
 
     /// Registers (or finds) a fixed-bucket histogram. Bounds are
-    /// sanitized to finite, ascending, deduplicated upper bounds; an
-    /// implicit `+Inf` overflow bucket always follows.
+    /// sanitized to finite, ascending, deduplicated upper bounds (`-0.0`
+    /// and `+0.0` collapse into one bound); an implicit `+Inf` overflow
+    /// bucket always follows.
     pub fn histogram(&self, name: &str, bounds: &[f64]) -> MetricId {
         let mut clean: Vec<f64> = bounds.iter().copied().filter(|b| b.is_finite()).collect();
-        clean.sort_by(|a, b| a.partial_cmp(b).expect("finite bounds compare"));
+        // `total_cmp` puts `-0.0` right before `+0.0`, and `dedup`
+        // compares with `==`, which merges them.
+        clean.sort_by(f64::total_cmp);
         clean.dedup();
         self.register(name, MetricKind::Histogram, clean)
     }
@@ -332,5 +335,10 @@ mod tests {
         let snap = r.snapshot();
         assert_eq!(snap.series[0].bounds, vec![1.0, 10.0]);
         assert_eq!(snap.series[0].bucket_counts, vec![1, 0, 0]);
+        // NaN is dropped and the two zeros collapse into one bound.
+        r.histogram("zeros", &[2.0, 0.0, f64::NAN, -0.0]);
+        let snap = r.snapshot();
+        assert_eq!(snap.series[1].name, "zeros");
+        assert_eq!(snap.series[1].bounds, vec![0.0, 2.0]);
     }
 }

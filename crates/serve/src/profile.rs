@@ -217,13 +217,15 @@ impl ModelProfile {
 fn table_service_at_share(table: &[f64], share: f64) -> f64 {
     assert!(share > 0.0 && share <= 1.0, "share {share} outside (0, 1]");
     let k_max = table.len();
-    // Exact table hit (uniform 1/k shares land here bit-for-bit).
-    for (j, &s) in table.iter().enumerate() {
-        if share == 1.0 / (j + 1) as f64 {
-            return s;
-        }
-    }
     let v = 1.0 / share; // virtual residency
+
+    // Exact table hit (uniform 1/k shares land here bit-for-bit). The
+    // values `1/j` are distinct and `round(1 / fl(1/j)) = j`, so the
+    // nearest integer residency is the only candidate.
+    let j = v.round();
+    if j >= 1.0 && j <= k_max as f64 && share == 1.0 / j {
+        return table[j as usize - 1];
+    }
     if v >= k_max as f64 {
         // Beyond the table: proportional slowdown from the deepest
         // tabulated point.
@@ -239,8 +241,8 @@ fn table_service_at_share(table: &[f64], share: f64) -> f64 {
 
 /// The platform's link set plus each model's static route over it —
 /// what the flow-level event loop feeds to
-/// [`max_min_shares`](lumos_core::flow::max_min_shares) whenever the
-/// resident set changes.
+/// [`max_min_shares`](lumos_core::flow::max_min_shares), once per
+/// distinct residency mix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowModel {
     /// The platform's enumerated link set.
@@ -613,6 +615,49 @@ mod tests {
         let deep = p.stage_service_at_share(0, 0.25); // v = 4
         assert!(deep > p.stage_service(0, 3));
         assert!((deep - p.stage_service(0, 3) * (4.0 / 3.0)).abs() < 1e-12 * deep.abs());
+
+        // The lookup matches a linear scan for an exact hit bit-for-bit,
+        // on every tabulated share of a 64-deep table and off the grid.
+        fn scan_reference(table: &[f64], share: f64) -> f64 {
+            for (j, &s) in table.iter().enumerate() {
+                if share == 1.0 / (j + 1) as f64 {
+                    return s;
+                }
+            }
+            let k_max = table.len();
+            let v = 1.0 / share;
+            if v >= k_max as f64 {
+                return table[k_max - 1] * (v / k_max as f64);
+            }
+            let lo = v.floor().max(1.0) as usize;
+            let hi = (lo + 1).min(k_max);
+            table[lo - 1] + (v - lo as f64) * (table[hi - 1] - table[lo - 1])
+        }
+        let table: Vec<f64> = (1..=64)
+            .map(|k| 1e-3 * (k as f64).powf(0.9) + 1e-5)
+            .collect();
+        for k_max in [1, 2, 3, 17, 64] {
+            let t = &table[..k_max];
+            let mut shares: Vec<f64> = (1..=64).map(|j| 1.0 / j as f64).collect();
+            for j in 1..=80 {
+                let exact = 1.0 / j as f64;
+                shares.extend([
+                    f64::from_bits(exact.to_bits() - 1),
+                    f64::from_bits(exact.to_bits() + 1),
+                    exact * 0.999,
+                    exact * 1.001,
+                    1.0 / (j as f64 + 0.5),
+                ]);
+            }
+            shares.extend([1e-300, 0.4, 0.81, 0.999_999, 1.0]);
+            for share in shares.into_iter().filter(|&s| s > 0.0 && s <= 1.0) {
+                assert_eq!(
+                    table_service_at_share(t, share).to_bits(),
+                    scan_reference(t, share).to_bits(),
+                    "K = {k_max}, share = {share:e}"
+                );
+            }
+        }
     }
 
     #[test]

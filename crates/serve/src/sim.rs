@@ -78,7 +78,7 @@
 //! [`ModelServeStats::in_flight`]: crate::report::ModelServeStats::in_flight
 //! [`ModelServeStats::queued_at_horizon`]: crate::report::ModelServeStats::queued_at_horizon
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use lumos_core::flow::{max_min_shares, FlowRoute};
 use lumos_dse::{ContentionKind, ServePolicy, SharePolicy};
@@ -88,7 +88,7 @@ use lumos_trace::{ps_from_secs as ps, ArgValue, TraceEvent, Tracer};
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::profile::{build_profiles, ServiceProfiles};
+use crate::profile::{build_profiles, FlowModel, ServiceProfiles};
 use crate::report::{BatchStats, ModelServeStats, Percentiles, ServeReport};
 
 /// A request waiting for admission.
@@ -480,8 +480,86 @@ struct SimTallies {
     tick_occupancy: Vec<f64>,
 }
 
+/// Each model's max-min bandwidth share under every residency mix one
+/// flow-level simulation meets, water-filled once per mix.
+///
+/// The memo is exact: every resident of a model crosses that model's
+/// route, and [`max_min_shares`] is a function of the route multiset,
+/// so the per-model resident counts fix every resident's share bit for
+/// bit, whatever order the residents hold. A run meets few distinct
+/// mixes across many events, and never more mixes than events.
+struct FlowShares<'p> {
+    flow: &'p FlowModel,
+    /// Per-model resident counts of the mix being looked up.
+    counts: Vec<u32>,
+    /// Per-model resident counts → per-model share (`NaN` for a model
+    /// with no resident in that mix; it is never read).
+    memo: HashMap<Vec<u32>, Vec<f64>>,
+}
+
+impl<'p> FlowShares<'p> {
+    fn new(flow: &'p FlowModel) -> Self {
+        FlowShares {
+            flow,
+            counts: vec![0; flow.routes.len()],
+            memo: HashMap::new(),
+        }
+    }
+
+    /// Writes each resident's flow-level service time into `services`:
+    /// its flow plane at compute level `k` looked up at its model's
+    /// share. A mix seen before allocates nothing.
+    fn services(
+        &mut self,
+        profiles: &ServiceProfiles,
+        resident: &[Resident],
+        services: &mut Vec<f64>,
+    ) {
+        self.counts.fill(0);
+        for r in resident {
+            self.counts[r.model] += 1;
+        }
+        let shares = match self.memo.get(self.counts.as_slice()) {
+            Some(shares) => shares,
+            None => {
+                let shares = self.water_fill();
+                self.memo.entry(self.counts.clone()).or_insert(shares)
+            }
+        };
+        let k = resident.len();
+        services.extend(
+            resident
+                .iter()
+                .map(|r| profiles.models[r.model].flow_stage_service(r.stage, k, shares[r.model])),
+        );
+    }
+
+    /// Per-model shares of the current mix: one water-fill over its
+    /// model-major expansion.
+    fn water_fill(&self) -> Vec<f64> {
+        let routes: Vec<FlowRoute> = self
+            .counts
+            .iter()
+            .zip(&self.flow.routes)
+            .flat_map(|(&c, route)| std::iter::repeat_n(route, c as usize))
+            .cloned()
+            .collect();
+        let alloc = max_min_shares(&self.flow.topology, &routes)
+            .expect("topology and routes validated at config time");
+        let mut first = 0;
+        let mut shares = Vec::with_capacity(self.counts.len());
+        for &c in &self.counts {
+            shares.push(if c == 0 { f64::NAN } else { alloc.share(first) });
+            first += c as usize;
+        }
+        shares
+    }
+}
+
 /// Per-resident stage service times under the configured sharing
-/// discipline, frozen at `now`.
+/// discipline, frozen at `now`, written into `services` (cleared
+/// first). `flow_shares` is the run's share memo, present exactly under
+/// flow-level contention.
 ///
 /// Uniform sharing indexes the tabulated `1/k` contention level
 /// directly (the hot path — it runs on every event). SLO-pressure
@@ -497,54 +575,38 @@ fn stage_services(
     profiles: &ServiceProfiles,
     resident: &[Resident],
     now: f64,
-) -> Vec<f64> {
-    if cfg.contention == ContentionKind::FlowLevel {
-        // Topology-aware bandwidth shares: water-fill the resident
-        // routes over the platform's link set, then look each stream's
-        // max-min share up in its flow plane at compute level `k`. A
-        // resident whose route shares no bottleneck gets share 1.0 (the
-        // uncontended column); when every route crosses every
-        // bottleneck the shares are exactly `1/k` and the lookup
-        // returns the uniform table bit-for-bit.
-        let flow = profiles
-            .flow
-            .as_ref()
-            .expect("flow-level validation guarantees a flow model");
-        let k = resident.len();
-        let routes: Vec<FlowRoute> = resident
-            .iter()
-            .map(|r| flow.routes[r.model].clone())
-            .collect();
-        let alloc = max_min_shares(&flow.topology, &routes)
-            .expect("topology and routes validated at config time");
-        return resident
-            .iter()
-            .enumerate()
-            .map(|(i, r)| profiles.models[r.model].flow_stage_service(r.stage, k, alloc.share(i)))
-            .collect();
+    flow_shares: Option<&mut FlowShares>,
+    services: &mut Vec<f64>,
+) {
+    services.clear();
+    if let Some(flow_shares) = flow_shares {
+        // Topology-aware bandwidth shares: each stream's max-min share
+        // over the platform's link set. A resident whose route shares
+        // no bottleneck gets share 1.0 (the uncontended column); when
+        // every route crosses every bottleneck the shares are exactly
+        // `1/k` and the lookup returns the uniform table bit-for-bit.
+        flow_shares.services(profiles, resident, services);
+        return;
     }
     match cfg.sharing {
         SharePolicy::Uniform => {
             let k = resident.len();
-            resident
-                .iter()
-                .map(|r| profiles.models[r.model].stage_service(r.stage, k))
-                .collect()
+            services.extend(
+                resident
+                    .iter()
+                    .map(|r| profiles.models[r.model].stage_service(r.stage, k)),
+            );
         }
         SharePolicy::SloPressure => {
-            let weights: Vec<f64> = resident
-                .iter()
-                .map(|r| {
-                    let deadline = r.arrival_s + cfg.models[r.model].slo_ms * 1e-3;
-                    1.0 / (deadline - now).max(SLACK_FLOOR_S)
-                })
-                .collect();
-            let total: f64 = weights.iter().sum();
-            resident
-                .iter()
-                .zip(&weights)
-                .map(|(r, w)| profiles.models[r.model].stage_service_at_share(r.stage, w / total))
-                .collect()
+            // Weights first, then each weight becomes its service time.
+            services.extend(resident.iter().map(|r| {
+                let deadline = r.arrival_s + cfg.models[r.model].slo_ms * 1e-3;
+                1.0 / (deadline - now).max(SLACK_FLOOR_S)
+            }));
+            let total: f64 = services.iter().sum();
+            for (s, r) in services.iter_mut().zip(resident) {
+                *s = profiles.models[r.model].stage_service_at_share(r.stage, *s / total);
+            }
         }
     }
 }
@@ -935,6 +997,16 @@ fn run_per_stream(
     let mut now = 0.0f64;
     let mut next_arrival = 0usize;
     let mut concurrency_integral = 0.0f64;
+    let mut flow_shares = match cfg.contention {
+        ContentionKind::FlowLevel => Some(FlowShares::new(
+            profiles
+                .flow
+                .as_ref()
+                .expect("flow-level validation guarantees a flow model"),
+        )),
+        ContentionKind::Uniform => None,
+    };
+    let mut services: Vec<f64> = Vec::with_capacity(cfg.max_concurrency);
 
     enum Event {
         /// A resident stream finished its *current stage*.
@@ -946,7 +1018,14 @@ fn run_per_stream(
         let k = resident.len();
         // Per-stream stage service times under the sharing discipline,
         // frozen at `now` (re-evaluated at every event).
-        let services = stage_services(cfg, profiles, &resident, now);
+        stage_services(
+            cfg,
+            profiles,
+            &resident,
+            now,
+            flow_shares.as_mut(),
+            &mut services,
+        );
         // Earliest stage completion under the current residency (ties
         // break by residency position, which is deterministic).
         let completion = resident

@@ -231,14 +231,13 @@ pub struct SortedSamples {
 }
 
 impl SortedSamples {
-    /// Sorts a copy of `samples` ascending.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a sample is NaN (report samples are always finite).
+    /// Sorts a copy of `samples` ascending, in [`f64::total_cmp`]
+    /// order: `-0.0` before `+0.0`, a NaN with the sign bit clear after
+    /// `+∞` and one with it set before `-∞` (report samples are always
+    /// finite).
     pub fn from_unsorted(samples: &[f64]) -> Self {
         let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        sorted.sort_unstable_by(f64::total_cmp);
         SortedSamples { sorted }
     }
 
@@ -471,6 +470,14 @@ impl Default for LatencyHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sorted_samples_follow_total_order() {
+        let s = SortedSamples::from_unsorted(&[f64::NAN, 1.0, 0.0, f64::INFINITY, -0.0]);
+        let bits: Vec<u64> = s.as_slice().iter().map(|v| v.to_bits()).collect();
+        let want = [-0.0, 0.0, 1.0, f64::INFINITY, f64::NAN].map(f64::to_bits);
+        assert_eq!(bits, want);
+    }
 
     #[test]
     fn online_stats_basics() {
