@@ -312,9 +312,12 @@ pub struct ServeConfig {
     /// stream per request ([`BatchPolicy::PerStream`], the default),
     /// or continuous token-level batching
     /// ([`BatchPolicy::Continuous`]) where co-resident generations of
-    /// the same model share batched decode ticks. The default — and
-    /// `Continuous { max_batch: 1 }` — reproduce the unbatched
-    /// simulator bit-for-bit.
+    /// the same model share batched decode ticks. Per-stream decode is
+    /// the cap-1 case of the one event loop: `Continuous { max_batch:
+    /// 1 }` schedules identically, but its report is not bit-identical
+    /// — the policy label and the decode-tick stats
+    /// ([`ServeReport::batch`](crate::report::ServeReport::batch))
+    /// differ.
     pub batching: BatchPolicy,
     /// How bandwidth contention between resident streams is modeled:
     /// the legacy platform-wide uniform derate
@@ -340,20 +343,16 @@ pub struct ServeConfig {
     /// saturation sweep turns.
     pub load_scale: f64,
     /// Request-lifecycle tracing ([`lumos_trace::TraceConfig::off`] by
-    /// default). Only the traced entry points
-    /// ([`simulate_traced`](crate::sim::simulate_traced) /
-    /// [`simulate_with_profiles_traced`](crate::sim::simulate_with_profiles_traced))
-    /// consult it; [`simulate`](crate::sim::simulate) never traces.
+    /// default). Only [`simulate_traced`](crate::sim::simulate_traced)
+    /// consults it; [`simulate`](crate::sim::simulate) never traces.
     /// Tracing never perturbs the report, so this knob is deliberately
     /// **excluded** from [`serve_key`](crate::dse::serve_key)
     /// fingerprints.
     pub trace: lumos_trace::TraceConfig,
     /// Windowed time-series metering
-    /// ([`lumos_metrics::MetricsConfig::off`] by default). Only the
-    /// metered entry points
-    /// ([`simulate_metered`](crate::sim::simulate_metered) /
-    /// [`simulate_with_profiles_metered`](crate::sim::simulate_with_profiles_metered))
-    /// consult it; [`simulate`](crate::sim::simulate) never meters.
+    /// ([`lumos_metrics::MetricsConfig::off`] by default). Only
+    /// [`simulate_metered`](crate::sim::simulate_metered) consults it;
+    /// [`simulate`](crate::sim::simulate) never meters.
     /// Metering never perturbs the report, so this knob is — like
     /// `trace` — deliberately **excluded** from
     /// [`serve_key`](crate::dse::serve_key) fingerprints.
@@ -382,15 +381,15 @@ impl ServeConfig {
         }
     }
 
-    /// Sets the request-lifecycle trace configuration consulted by the
-    /// traced entry points.
+    /// Sets the request-lifecycle trace configuration consulted by
+    /// [`simulate_traced`](crate::sim::simulate_traced).
     pub fn with_trace(mut self, trace: lumos_trace::TraceConfig) -> Self {
         self.trace = trace;
         self
     }
 
-    /// Sets the windowed-metrics configuration consulted by the metered
-    /// entry points.
+    /// Sets the windowed-metrics configuration consulted by
+    /// [`simulate_metered`](crate::sim::simulate_metered).
     pub fn with_metrics(mut self, metrics: lumos_metrics::MetricsConfig) -> Self {
         self.metrics = metrics;
         self

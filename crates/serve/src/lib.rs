@@ -37,16 +37,17 @@
 //!   [`ServeAxes`] (offered load × policy) × platform through the
 //!   `lumos_dse` engine
 //!
-//! The traced entry points ([`simulate_traced`] /
-//! [`simulate_with_profiles_traced`], opted into via
-//! [`ServeConfig::trace`]) additionally return the full request
-//! lifecycle — arrival → queue → admit → prefill → decode ticks →
-//! completion — as deterministic `lumos_trace` events on the virtual
-//! clock, without perturbing the report. The metered entry points
-//! ([`simulate_metered`] / [`simulate_with_profiles_metered`], opted
-//! into via [`ServeConfig::metrics`]) instead return windowed
-//! `lumos_metrics` time series — queue depth, residency, tokens/sec,
-//! per-window SLO attainment, decode-batch occupancy — under the same
+//! Four entry points run the one event loop. [`simulate`] builds the
+//! profiles and simulates; [`simulate_with_profiles`] reuses profiles
+//! built once with [`build_profiles`] across a load or policy sweep.
+//! [`simulate_traced`] (opted into via [`ServeConfig::trace`])
+//! additionally returns the full request lifecycle — arrival → queue
+//! → admit → prefill → decode steps or ticks → completion — as
+//! deterministic `lumos_trace` events on the virtual clock, without
+//! perturbing the report. [`simulate_metered`] (opted into via
+//! [`ServeConfig::metrics`]) instead returns windowed `lumos_metrics`
+//! time series — queue depth, residency, tokens/sec, per-window SLO
+//! attainment, decode-batch occupancy — under the same
 //! never-perturbs-the-report contract.
 //!
 //! Everything is deterministic: identical configurations (seed
@@ -96,10 +97,7 @@ pub use dse::{serve_key, ServePoint};
 pub use error::ServeError;
 pub use profile::{build_profiles, ModelProfile, ServiceProfiles};
 pub use report::{BatchStats, ModelServeStats, Percentiles, ServeReport};
-pub use sim::{
-    simulate, simulate_metered, simulate_traced, simulate_with_profiles,
-    simulate_with_profiles_metered, simulate_with_profiles_traced,
-};
+pub use sim::{simulate, simulate_metered, simulate_traced, simulate_with_profiles};
 
 // The sweep-axes vocabulary lives in `lumos_dse` (pure data, shared
 // with fingerprints and grids); re-export it so serving callers need

@@ -99,7 +99,8 @@ pub struct ModelServeStats {
 
 /// Batch-occupancy statistics of the continuous-batching scheduler:
 /// how many generations each decode tick actually coalesced. All
-/// zeros under [`BatchPolicy::PerStream`], where no ticks run.
+/// zeros under [`BatchPolicy::PerStream`]: its decode steps run as
+/// singleton ticks of the same event loop, but no ticks are reported.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct BatchStats {
     /// Decode ticks executed inside the horizon (one batched-GEMV

@@ -40,9 +40,9 @@
 //!
 //! # Continuous batching
 //!
-//! Under [`BatchPolicy::Continuous`] the decode phase runs at token
-//! granularity: resident generations of the same model coalesce into
-//! per-model **batch groups** that advance through shared *decode
+//! One event loop runs every batching policy. The decode phase runs at
+//! token granularity: resident generations of the same model coalesce
+//! into per-model **batch groups** that advance through shared *decode
 //! ticks* — one batched-GEMV stage per tick, with service times from
 //! the profile's batch planes
 //! ([`ModelProfile::batched_stage_service`]). A generation whose
@@ -52,9 +52,16 @@
 //! without stalling the survivors; leftover waiters regroup at every
 //! boundary, so no generation waits longer than one tick. Prefills are
 //! never batched — each executes as its own stream alongside the
-//! groups. With `max_batch = 1` every group is a singleton that never
-//! waits, and the schedule reproduces the per-stream simulation
-//! bit-for-bit.
+//! groups.
+//!
+//! Per-stream decode ([`BatchPolicy::PerStream`]) is the cap-1 case:
+//! every group is a singleton that never waits and reads the per-stream
+//! stage table, of which batch plane 1 is a bit-for-bit copy. So
+//! `Continuous { max_batch: 1 }` schedules exactly like per-stream
+//! decode; the policies differ only in what a decode tick reports —
+//! tick stats, a `serve_batch_occupancy` observation and a
+//! `decode-tick` span under continuous batching, the request's own
+//! `decode` segment per-stream.
 //!
 //! # Horizon censoring
 //!
@@ -74,7 +81,7 @@
 //! [`ModelProfile::stage_service_at_share`]: crate::profile::ModelProfile::stage_service_at_share
 //! [`ModelProfile::batched_stage_service`]: crate::profile::ModelProfile::batched_stage_service
 //! [`ServedModel::generator`]: crate::config::ServedModel::generator
-//! [`BatchPolicy::Continuous`]: lumos_dse::BatchPolicy::Continuous
+//! [`BatchPolicy::PerStream`]: lumos_dse::BatchPolicy::PerStream
 //! [`ModelServeStats::in_flight`]: crate::report::ModelServeStats::in_flight
 //! [`ModelServeStats::queued_at_horizon`]: crate::report::ModelServeStats::queued_at_horizon
 
@@ -88,7 +95,7 @@ use lumos_trace::{ps_from_secs as ps, ArgValue, TraceEvent, Tracer};
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
-use crate::profile::{build_profiles, FlowModel, ServiceProfiles};
+use crate::profile::{build_profiles, FlowModel, ModelProfile, ServiceProfiles};
 use crate::report::{BatchStats, ModelServeStats, Percentiles, ServeReport};
 
 /// A request waiting for admission.
@@ -101,22 +108,21 @@ struct Pending {
     id: u64,
 }
 
-/// A request executing on (a slice of) the platform.
+/// A request holding a residency slot.
 #[derive(Debug, Clone, Copy)]
 struct Resident {
     model: usize,
     arrival_s: f64,
     admitted_s: f64,
+    /// Admission order within the run — what orders the execution
+    /// streams.
+    seq: u64,
     /// Stage currently executing (0 = single-pass stream or prefill;
     /// `1..` = decode steps).
     stage: usize,
     /// Completion time of the previous stage (admission time while
     /// stage 0 runs) — the per-token latency baseline.
     last_boundary_s: f64,
-    /// Fraction of the current stage still to execute, in `[0, 1]`.
-    /// Unused while the resident awaits a batch boundary (the group
-    /// tracks tick progress).
-    remaining: f64,
     /// Trace identity inherited from the [`Pending`] arrival.
     id: u64,
     /// Trace lane (residency-slot tid) held from admission to
@@ -124,19 +130,71 @@ struct Resident {
     lane: u32,
 }
 
-/// A continuous-batching decode group: co-resident generations of one
-/// model advancing through shared decode ticks as a single execution
-/// stream.
+/// One execution stream: a stage-0 resident running alone (a
+/// single-pass request or a prefill), or a decode group — co-resident
+/// generations of one model advancing through shared decode ticks.
 #[derive(Debug, Clone)]
-struct Group {
+struct Cohort {
     model: usize,
-    /// Member resident indices (into the residency `Vec`). Non-empty.
-    members: Vec<usize>,
-    /// Fraction of the current decode tick still to execute.
+    /// Stage the stream executes: 0, or for a decode group the deepest
+    /// member's decode stage (decode cost is nondecreasing in cache
+    /// depth).
+    stage: usize,
+    /// Admission order of the earliest-admitted member: the stream
+    /// order key.
+    anchor: u64,
+    /// Fraction of the current stage or tick still to execute.
     remaining: f64,
-    /// When the current tick started (trace only — the simulated
-    /// schedule never reads it).
+    /// When the current stage or tick started (trace only).
     started_s: f64,
+    /// Members in joining order. Non-empty; one unless a decode group.
+    members: Vec<Resident>,
+}
+
+impl Cohort {
+    fn new(model: usize, members: Vec<Resident>, now: f64) -> Self {
+        let mut cohort = Cohort {
+            model,
+            stage: 0,
+            anchor: 0,
+            remaining: 1.0,
+            started_s: now,
+            members,
+        };
+        cohort.restart(now);
+        cohort
+    }
+
+    /// Starts the next stage or tick at `now` over the current members.
+    fn restart(&mut self, now: f64) {
+        self.stage = self
+            .members
+            .iter()
+            .map(|r| r.stage)
+            .max()
+            .expect("non-empty");
+        self.anchor = self.members.iter().map(|r| r.seq).min().expect("non-empty");
+        self.remaining = 1.0;
+        self.started_s = now;
+    }
+
+    /// Service time of the current stage or tick as one of `k` streams
+    /// sharing the platform uniformly. A singleton reads the per-stream
+    /// stage table; a group of `b ≥ 2` reads batch plane `b`.
+    fn service(&self, profile: &ModelProfile, k: usize) -> f64 {
+        match self.members.len() {
+            1 => profile.stage_service(self.stage, k),
+            b => profile.batched_stage_service(self.stage, b, k),
+        }
+    }
+
+    /// [`service`](Self::service) at an arbitrary platform share.
+    fn service_at_share(&self, profile: &ModelProfile, share: f64) -> f64 {
+        match self.members.len() {
+            1 => profile.stage_service_at_share(self.stage, share),
+            b => profile.batched_stage_service_at_share(self.stage, b, share),
+        }
+    }
 }
 
 /// The trace context of one serving simulation: the [`Tracer`] plus
@@ -248,30 +306,20 @@ impl ServeTrace {
         lane
     }
 
-    /// Closes one executed segment on a request's lane (`execute`,
-    /// `prefill`, or `decode`).
-    #[allow(clippy::too_many_arguments)]
-    fn segment(
-        &self,
-        lane: u32,
-        cat: &str,
-        name: &str,
-        start_s: f64,
-        now: f64,
-        id: u64,
-        stage: usize,
-    ) {
+    /// Closes the stage `r` just executed on its lane (`execute`,
+    /// `prefill`, or `decode`), from its last stage boundary to `now`.
+    fn segment(&self, r: &Resident, cat: &str, name: &str, now: f64) {
         if self.enabled() {
             self.tracer.span(
                 self.pid,
-                Self::lane_tid(lane),
+                Self::lane_tid(r.lane),
                 cat,
                 name,
-                ps(start_s),
-                ps(now).saturating_sub(ps(start_s)),
+                ps(r.last_boundary_s),
+                ps(now).saturating_sub(ps(r.last_boundary_s)),
                 vec![
-                    ("id", ArgValue::U64(id)),
-                    ("stage", ArgValue::U64(stage as u64)),
+                    ("id", ArgValue::U64(r.id)),
+                    ("stage", ArgValue::U64(r.stage as u64)),
                 ],
             );
         }
@@ -451,20 +499,11 @@ impl ServeMeter {
     }
 }
 
-/// One execution stream of the continuous-batching loop: an unbatched
-/// stage-0 resident (prefill or single-pass request), or a decode
-/// group.
-#[derive(Debug, Clone, Copy)]
-enum Stream {
-    Solo(usize),
-    Batch(usize),
-}
-
 /// Slack floor for SLO-pressure weighting, seconds: streams at or past
 /// their deadline weigh `1/SLACK_FLOOR_S` instead of diverging.
 const SLACK_FLOOR_S: f64 = 1e-6;
 
-/// Everything an event loop tallies; [`roll_up`] turns one of these
+/// Everything the event loop tallies; [`roll_up`] turns one of these
 /// into the [`ServeReport`].
 struct SimTallies {
     latencies: Vec<Vec<f64>>,
@@ -480,20 +519,46 @@ struct SimTallies {
     tick_occupancy: Vec<f64>,
 }
 
+impl SimTallies {
+    fn new(n: usize) -> Self {
+        SimTallies {
+            latencies: vec![Vec::new(); n],
+            delays: vec![Vec::new(); n],
+            ttfts: vec![Vec::new(); n],
+            token_gaps: vec![Vec::new(); n],
+            arrived: vec![0; n],
+            in_flight: vec![0; n],
+            queued_at_horizon: Vec::new(),
+            concurrency_integral: 0.0,
+            tick_occupancy: Vec::new(),
+        }
+    }
+
+    /// Records a finished request: its latency and queue-delay samples,
+    /// its trace completion (freeing its lane) and its meter counts.
+    fn complete(&mut self, r: &Resident, now: f64, tr: &mut ServeTrace, mm: &ServeMeter) {
+        self.latencies[r.model].push(now - r.arrival_s);
+        self.delays[r.model].push(r.admitted_s - r.arrival_s);
+        tr.complete(r.lane, now, r.id);
+        mm.complete(r.model, now, now - r.arrival_s);
+    }
+}
+
 /// Each model's max-min bandwidth share under every residency mix one
 /// flow-level simulation meets, water-filled once per mix.
 ///
-/// The memo is exact: every resident of a model crosses that model's
-/// route, and [`max_min_shares`] is a function of the route multiset,
-/// so the per-model resident counts fix every resident's share bit for
-/// bit, whatever order the residents hold. A run meets few distinct
-/// mixes across many events, and never more mixes than events.
+/// Each execution stream is one flow on its model's route (flow-level
+/// contention runs per-stream decode only, so every stream is one
+/// request). The memo is exact: [`max_min_shares`] is a function of the
+/// route multiset, so the per-model stream counts fix every stream's
+/// share bit for bit, whatever order the streams hold. A run meets few
+/// distinct mixes across many events, and never more mixes than events.
 struct FlowShares<'p> {
     flow: &'p FlowModel,
-    /// Per-model resident counts of the mix being looked up.
+    /// Per-model stream counts of the mix being looked up.
     counts: Vec<u32>,
-    /// Per-model resident counts → per-model share (`NaN` for a model
-    /// with no resident in that mix; it is never read).
+    /// Per-model stream counts → per-model share (`NaN` for a model
+    /// with no stream in that mix; it is never read).
     memo: HashMap<Vec<u32>, Vec<f64>>,
 }
 
@@ -506,18 +571,18 @@ impl<'p> FlowShares<'p> {
         }
     }
 
-    /// Writes each resident's flow-level service time into `services`:
+    /// Writes each stream's flow-level service time into `services`:
     /// its flow plane at compute level `k` looked up at its model's
     /// share. A mix seen before allocates nothing.
     fn services(
         &mut self,
         profiles: &ServiceProfiles,
-        resident: &[Resident],
+        streams: &[Cohort],
         services: &mut Vec<f64>,
     ) {
         self.counts.fill(0);
-        for r in resident {
-            self.counts[r.model] += 1;
+        for s in streams {
+            self.counts[s.model] += 1;
         }
         let shares = match self.memo.get(self.counts.as_slice()) {
             Some(shares) => shares,
@@ -526,11 +591,11 @@ impl<'p> FlowShares<'p> {
                 self.memo.entry(self.counts.clone()).or_insert(shares)
             }
         };
-        let k = resident.len();
+        let k = streams.len();
         services.extend(
-            resident
+            streams
                 .iter()
-                .map(|r| profiles.models[r.model].flow_stage_service(r.stage, k, shares[r.model])),
+                .map(|s| profiles.models[s.model].flow_stage_service(s.stage, k, shares[s.model])),
         );
     }
 
@@ -556,24 +621,25 @@ impl<'p> FlowShares<'p> {
     }
 }
 
-/// Per-resident stage service times under the configured sharing
-/// discipline, frozen at `now`, written into `services` (cleared
-/// first). `flow_shares` is the run's share memo, present exactly under
-/// flow-level contention.
+/// Per-stream service times of the current stage or tick under the
+/// configured sharing discipline, frozen at `now`, written into
+/// `services` (cleared first). `flow_shares` is the run's share memo,
+/// present exactly under flow-level contention.
 ///
 /// Uniform sharing indexes the tabulated `1/k` contention level
 /// directly (the hot path — it runs on every event). SLO-pressure
-/// weights are inverse EDF slack (floored at `SLACK_FLOOR_S`),
-/// normalized into shares and looked up through the same tables in
-/// share space (`ModelProfile::stage_service_at_share`) — a lookup
-/// that returns the tabulated values bit-for-bit whenever the shares
-/// are the uniform `1/k` (equal weights, or a single resident), so the
-/// two disciplines agree exactly wherever their allocations coincide
-/// (property-tested in `tests/properties.rs`).
-fn stage_services(
+/// weights are inverse EDF slack (floored at `SLACK_FLOOR_S`; a group
+/// weighs the sum of its members' pressures), normalized into shares
+/// and looked up through the same tables in share space
+/// (`ModelProfile::stage_service_at_share`) — a lookup that returns the
+/// tabulated values bit-for-bit whenever the shares are the uniform
+/// `1/k` (equal weights, or a single stream), so the two disciplines
+/// agree exactly wherever their allocations coincide (property-tested
+/// in `tests/properties.rs`).
+fn stream_services(
     cfg: &ServeConfig,
     profiles: &ServiceProfiles,
-    resident: &[Resident],
+    streams: &[Cohort],
     now: f64,
     flow_shares: Option<&mut FlowShares>,
     services: &mut Vec<f64>,
@@ -581,31 +647,36 @@ fn stage_services(
     services.clear();
     if let Some(flow_shares) = flow_shares {
         // Topology-aware bandwidth shares: each stream's max-min share
-        // over the platform's link set. A resident whose route shares
-        // no bottleneck gets share 1.0 (the uncontended column); when
+        // over the platform's link set. A stream whose route shares no
+        // bottleneck gets share 1.0 (the uncontended column); when
         // every route crosses every bottleneck the shares are exactly
         // `1/k` and the lookup returns the uniform table bit-for-bit.
-        flow_shares.services(profiles, resident, services);
+        flow_shares.services(profiles, streams, services);
         return;
     }
     match cfg.sharing {
         SharePolicy::Uniform => {
-            let k = resident.len();
+            let k = streams.len();
             services.extend(
-                resident
+                streams
                     .iter()
-                    .map(|r| profiles.models[r.model].stage_service(r.stage, k)),
+                    .map(|s| s.service(&profiles.models[s.model], k)),
             );
         }
         SharePolicy::SloPressure => {
             // Weights first, then each weight becomes its service time.
-            services.extend(resident.iter().map(|r| {
-                let deadline = r.arrival_s + cfg.models[r.model].slo_ms * 1e-3;
-                1.0 / (deadline - now).max(SLACK_FLOOR_S)
+            services.extend(streams.iter().map(|s| {
+                s.members
+                    .iter()
+                    .map(|r| {
+                        let deadline = r.arrival_s + cfg.models[r.model].slo_ms * 1e-3;
+                        1.0 / (deadline - now).max(SLACK_FLOOR_S)
+                    })
+                    .sum::<f64>()
             }));
             let total: f64 = services.iter().sum();
-            for (s, r) in services.iter_mut().zip(resident) {
-                *s = profiles.models[r.model].stage_service_at_share(r.stage, *s / total);
+            for (w, s) in services.iter_mut().zip(streams) {
+                *w = s.service_at_share(&profiles.models[s.model], *w / total);
             }
         }
     }
@@ -638,7 +709,7 @@ fn generate_arrivals(cfg: &ServeConfig) -> Vec<Pending> {
             .then_with(|| a.model.cmp(&b.model))
     });
     // Trace identities follow the merged arrival order, so `id` is
-    // stable across reruns and loops of the same configuration.
+    // stable across reruns and batching policies of one mix.
     for (id, p) in arrivals.iter_mut().enumerate() {
         p.id = id as u64;
     }
@@ -744,8 +815,10 @@ pub fn simulate(cfg: &ServeConfig) -> Result<ServeReport, ServeError> {
 ///
 /// Returns [`ServeError::BadConfig`] when `profiles` does not cover
 /// `cfg` (wrong model count, too shallow a contention table, or — under
-/// [`BatchPolicy::Continuous`] — missing batched decode planes), plus
-/// everything [`simulate`] reports.
+/// [`BatchPolicy::Continuous`] — fewer batched decode planes than the
+/// configured cap needs for a generator with a
+/// [`GeneratorSpec`](crate::config::GeneratorSpec)), plus everything
+/// [`simulate`] reports.
 ///
 /// [`BatchPolicy::Continuous`]: lumos_dse::BatchPolicy::Continuous
 pub fn simulate_with_profiles(
@@ -773,22 +846,9 @@ pub fn simulate_with_profiles(
 /// Same as [`simulate`].
 pub fn simulate_traced(cfg: &ServeConfig) -> Result<(ServeReport, Vec<TraceEvent>), ServeError> {
     let profiles = build_profiles(cfg)?; // validates cfg
-    simulate_with_profiles_traced(cfg, &profiles)
-}
-
-/// [`simulate_traced`] against pre-built [`ServiceProfiles`] (see
-/// [`simulate_with_profiles`] for the reuse contract).
-///
-/// # Errors
-///
-/// Same as [`simulate_with_profiles`].
-pub fn simulate_with_profiles_traced(
-    cfg: &ServeConfig,
-    profiles: &ServiceProfiles,
-) -> Result<(ServeReport, Vec<TraceEvent>), ServeError> {
     let tracer = cfg.trace.tracer();
     let report =
-        simulate_with_profiles_inner(cfg, profiles, tracer.clone(), MetricsRegistry::off())?;
+        simulate_with_profiles_inner(cfg, &profiles, tracer.clone(), MetricsRegistry::off())?;
     Ok((report, tracer.drain()))
 }
 
@@ -814,21 +874,8 @@ pub fn simulate_with_profiles_traced(
 /// Same as [`simulate`].
 pub fn simulate_metered(cfg: &ServeConfig) -> Result<(ServeReport, MetricsSnapshot), ServeError> {
     let profiles = build_profiles(cfg)?; // validates cfg
-    simulate_with_profiles_metered(cfg, &profiles)
-}
-
-/// [`simulate_metered`] against pre-built [`ServiceProfiles`] (see
-/// [`simulate_with_profiles`] for the reuse contract).
-///
-/// # Errors
-///
-/// Same as [`simulate_with_profiles`].
-pub fn simulate_with_profiles_metered(
-    cfg: &ServeConfig,
-    profiles: &ServiceProfiles,
-) -> Result<(ServeReport, MetricsSnapshot), ServeError> {
     let registry = cfg.metrics.registry();
-    let report = simulate_with_profiles_inner(cfg, profiles, Tracer::off(), registry.clone())?;
+    let report = simulate_with_profiles_inner(cfg, &profiles, Tracer::off(), registry.clone())?;
     Ok((report, registry.snapshot()))
 }
 
@@ -878,16 +925,24 @@ fn simulate_with_profiles_inner(
         });
     }
     if cfg.batching.is_continuous() {
-        for p in &profiles.models {
+        for (p, m) in profiles.models.iter().zip(&cfg.models) {
             if p.n_stages() <= 1 {
                 continue;
             }
-            if p.max_batch() == 0 {
+            // A generator with a `GeneratorSpec` batches up to the
+            // configured cap; one without decodes per-stream from
+            // plane 1.
+            let need = match m.generator_spec {
+                Some(_) => cfg.effective_max_batch(),
+                None => 1,
+            };
+            if p.max_batch() < need {
                 return Err(ServeError::BadConfig {
                     reason: format!(
-                        "profile for {} has no batched decode planes; \
+                        "profile for {} tabulates {} batched decode planes, need {need}; \
                          build profiles with the continuous-batching config",
-                        p.name
+                        p.name,
+                        p.max_batch()
                     ),
                 });
             }
@@ -966,17 +1021,24 @@ fn simulate_with_profiles_inner(
     }
     let mut tr = ServeTrace::new(cfg, tracer);
     let mm = ServeMeter::new(cfg, metrics);
-    let tallies = if cfg.batching.is_continuous() {
-        run_continuous(cfg, profiles, &mut tr, &mm)
-    } else {
-        run_per_stream(cfg, profiles, &mut tr, &mm)
-    };
+    let tallies = run(cfg, profiles, &mut tr, &mm);
     Ok(roll_up(cfg, profiles, tallies))
 }
 
-/// The legacy event loop: every resident request is its own execution
-/// stream at every stage.
-fn run_per_stream(
+/// The event loop, for every batching policy (see the module docs).
+///
+/// Each resident executes in one execution stream — alone while at
+/// stage 0, then in a decode group — except while it waits for a batch
+/// boundary, holding its slot but no platform share. Under per-stream
+/// decode, and for a generator whose profile tabulates no deeper batch
+/// plane, the group cap is 1: every group is a singleton that never
+/// waits.
+///
+/// `streams` stays sorted by anchor, which fixes completion tie-breaks
+/// and the order of the SLO-pressure weight sum. An admission appends
+/// the newest anchor and a removal keeps the order, so only a decode
+/// tick that changes a group's membership re-sorts.
+fn run(
     cfg: &ServeConfig,
     profiles: &ServiceProfiles,
     tr: &mut ServeTrace,
@@ -985,18 +1047,27 @@ fn run_per_stream(
     let arrivals = generate_arrivals(cfg);
     let n = cfg.models.len();
     let horizon = cfg.duration_s;
+    let continuous = cfg.batching.is_continuous();
+    // Per-model group cap: the configured cap (1 per-stream), clamped
+    // to the planes the profile actually tabulates.
+    let model_cap: Vec<usize> = profiles
+        .models
+        .iter()
+        .map(|p| p.max_batch().min(cfg.effective_max_batch()).max(1))
+        .collect();
 
+    let mut t = SimTallies::new(n);
     let mut queues: Vec<VecDeque<Pending>> = vec![VecDeque::new(); n];
-    let mut resident: Vec<Resident> = Vec::new();
+    let mut streams: Vec<Cohort> = Vec::with_capacity(cfg.max_concurrency);
+    // Per-model generations that finished prefill and wait for a batch
+    // boundary to join a group with space (bounded by one tick).
+    let mut waiting: Vec<VecDeque<Resident>> = vec![VecDeque::new(); n];
+    // Residents, waiting ones included.
+    let mut n_resident = 0usize;
+    let mut admitted = 0u64;
     let mut rr_cursor = 0usize;
-    let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut delays: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut ttfts: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut token_gaps: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut arrived = vec![0u64; n];
     let mut now = 0.0f64;
     let mut next_arrival = 0usize;
-    let mut concurrency_integral = 0.0f64;
     let mut flow_shares = match cfg.contention {
         ContentionKind::FlowLevel => Some(FlowShares::new(
             profiles
@@ -1009,528 +1080,170 @@ fn run_per_stream(
     let mut services: Vec<f64> = Vec::with_capacity(cfg.max_concurrency);
 
     enum Event {
-        /// A resident stream finished its *current stage*.
-        StageDone(usize),
+        /// Stream `j` finished its current stage or decode tick.
+        Done(usize),
         Arrival,
     }
 
     loop {
-        let k = resident.len();
-        // Per-stream stage service times under the sharing discipline,
+        // Per-stream service times under the sharing discipline,
         // frozen at `now` (re-evaluated at every event).
-        stage_services(
+        stream_services(
             cfg,
             profiles,
-            &resident,
+            &streams,
             now,
             flow_shares.as_mut(),
             &mut services,
         );
-        // Earliest stage completion under the current residency (ties
-        // break by residency position, which is deterministic).
-        let completion = resident
+        // Earliest completion (ties break by stream order).
+        let completion = streams
             .iter()
+            .zip(&services)
             .enumerate()
-            .map(|(i, r)| (now + r.remaining * services[i], i))
+            .map(|(j, (s, service))| (now + s.remaining * service, j))
             .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         let arrival = arrivals.get(next_arrival).map(|p| p.arrival_s);
 
         // Completions win ties so a freed slot is visible to the
         // simultaneous arrival.
-        let (t, event) = match (completion, arrival) {
+        let (at, event) = match (completion, arrival) {
             (None, None) => break,
-            (Some((tc, i)), None) => (tc, Event::StageDone(i)),
-            (None, Some(ta)) => (ta, Event::Arrival),
-            (Some((tc, i)), Some(ta)) => {
-                if tc <= ta {
-                    (tc, Event::StageDone(i))
-                } else {
-                    (ta, Event::Arrival)
-                }
-            }
-        };
-        if t > horizon {
-            break;
-        }
-
-        // Advance every resident stream's remaining work to `t`.
-        let dt = t - now;
-        if dt > 0.0 {
-            for (r, service) in resident.iter_mut().zip(&services) {
-                r.remaining = (r.remaining - dt / service).max(0.0);
-            }
-            concurrency_integral += k as f64 * dt;
-        }
-        now = t;
-
-        match event {
-            Event::StageDone(i) => {
-                let model = resident[i].model;
-                let generator = profiles.models[model].n_stages() > 1;
-                // Trace identity of the segment that just closed,
-                // captured before the resident advances or leaves.
-                let (req_id, lane, seg_stage, seg_start) = {
-                    let r = &resident[i];
-                    (r.id, r.lane, r.stage, r.last_boundary_s)
-                };
-                let seg_cat = if !generator {
-                    "execute"
-                } else if seg_stage == 0 {
-                    "prefill"
-                } else {
-                    "decode"
-                };
-                tr.segment(
-                    lane,
-                    seg_cat,
-                    &cfg.models[model].name,
-                    seg_start,
-                    now,
-                    req_id,
-                    seg_stage,
-                );
-                if generator {
-                    let r = &resident[i];
-                    if r.stage == 0 {
-                        // Prefill done: the first token is out (TTFT);
-                        // decode steps emit the subsequent tokens.
-                        ttfts[model].push(now - r.arrival_s);
-                    } else {
-                        // One more decode step: one more token.
-                        token_gaps[model].push(now - r.last_boundary_s);
-                        mm.token(model, now);
-                    }
-                }
-                if resident[i].stage + 1 < profiles.models[model].n_stages() {
-                    // Advance to the next decode step without releasing
-                    // the residency slot.
-                    let r = &mut resident[i];
-                    r.stage += 1;
-                    r.last_boundary_s = now;
-                    r.remaining = 1.0;
-                } else {
-                    let r = resident.remove(i);
-                    latencies[r.model].push(now - r.arrival_s);
-                    delays[r.model].push(r.admitted_s - r.arrival_s);
-                    tr.complete(lane, now, req_id);
-                    mm.complete(r.model, now, now - r.arrival_s);
-                }
-            }
-            Event::Arrival => {
-                let p = arrivals[next_arrival];
-                next_arrival += 1;
-                arrived[p.model] += 1;
-                queues[p.model].push_back(p);
-                tr.arrival(&p);
-            }
-        }
-
-        // Fill freed slots per the policy.
-        while resident.len() < cfg.max_concurrency {
-            match select_next(cfg, profiles, &queues, &mut rr_cursor) {
-                Some(model) => {
-                    let p = queues[model].pop_front().expect("selected queue non-empty");
-                    let lane = tr.admit(&p, now);
-                    resident.push(Resident {
-                        model: p.model,
-                        arrival_s: p.arrival_s,
-                        admitted_s: now,
-                        stage: 0,
-                        last_boundary_s: now,
-                        remaining: 1.0,
-                        id: p.id,
-                        lane,
-                    });
-                }
-                None => break,
-            }
-        }
-        tr.occupancy(now, resident.len(), queues.iter().map(|q| q.len()).sum());
-        mm.occupancy(now, resident.len(), &queues);
-    }
-    concurrency_integral += resident.len() as f64 * (horizon - now).max(0.0);
-
-    let mut in_flight = vec![0u64; n];
-    for r in &resident {
-        in_flight[r.model] += 1;
-    }
-    SimTallies {
-        latencies,
-        delays,
-        ttfts,
-        token_gaps,
-        arrived,
-        in_flight,
-        queued_at_horizon: queues.iter().map(|q| q.len() as u64).collect(),
-        concurrency_integral,
-        tick_occupancy: Vec::new(),
-    }
-}
-
-/// Evicts resident `ri` from residency, fixing up every stored
-/// resident index (group memberships and boundary-waiting lists) for
-/// the shift `Vec::remove` causes.
-fn remove_resident(
-    resident: &mut Vec<Resident>,
-    groups: &mut [Group],
-    waiting: &mut [VecDeque<usize>],
-    ri: usize,
-) -> Resident {
-    let r = resident.remove(ri);
-    for g in groups.iter_mut() {
-        g.members.retain(|&m| m != ri);
-        for m in g.members.iter_mut() {
-            if *m > ri {
-                *m -= 1;
-            }
-        }
-    }
-    for q in waiting.iter_mut() {
-        q.retain(|&m| m != ri);
-        for m in q.iter_mut() {
-            if *m > ri {
-                *m -= 1;
-            }
-        }
-    }
-    r
-}
-
-/// The continuous-batching event loop: stage-0 residents execute solo;
-/// decode-phase residents of one model coalesce into batch groups that
-/// advance through shared decode ticks (see the module docs).
-///
-/// Execution streams are enumerated by *anchor* — a solo stream's
-/// resident index, a group's minimum member index — so with
-/// `max_batch = 1` (every group a singleton, nobody ever waits) the
-/// stream order, tie-breaking, and SLO-pressure weight summation
-/// reproduce [`run_per_stream`] bit-for-bit.
-fn run_continuous(
-    cfg: &ServeConfig,
-    profiles: &ServiceProfiles,
-    tr: &mut ServeTrace,
-    mm: &ServeMeter,
-) -> SimTallies {
-    let arrivals = generate_arrivals(cfg);
-    let n = cfg.models.len();
-    let horizon = cfg.duration_s;
-    // Per-model batch cap: the configured cap, clamped to the planes
-    // the profile actually tabulates (a generator built without a
-    // `GeneratorSpec` has only plane 1 and decodes per-stream).
-    let model_cap: Vec<usize> = profiles
-        .models
-        .iter()
-        .map(|p| p.max_batch().min(cfg.effective_max_batch()).max(1))
-        .collect();
-
-    let mut queues: Vec<VecDeque<Pending>> = vec![VecDeque::new(); n];
-    let mut resident: Vec<Resident> = Vec::new();
-    let mut groups: Vec<Group> = Vec::new();
-    // Per-model generations that finished prefill and wait for a batch
-    // boundary to join a group with space (bounded by one tick).
-    let mut waiting: Vec<VecDeque<usize>> = vec![VecDeque::new(); n];
-    let mut rr_cursor = 0usize;
-    let mut latencies: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut delays: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut ttfts: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut token_gaps: Vec<Vec<f64>> = vec![Vec::new(); n];
-    let mut arrived = vec![0u64; n];
-    let mut tick_occupancy: Vec<f64> = Vec::new();
-    let mut now = 0.0f64;
-    let mut next_arrival = 0usize;
-    let mut concurrency_integral = 0.0f64;
-
-    enum Event {
-        /// Stream `j` (index into this iteration's anchored stream
-        /// list) finished its current stage or decode tick.
-        TickDone(usize),
-        Arrival,
-    }
-
-    // The deepest cache stage among a group's members drives the
-    // batched tick (decode cost is nondecreasing in cache depth).
-    let tick_stage = |resident: &[Resident], g: &Group| -> usize {
-        g.members
-            .iter()
-            .map(|&ri| resident[ri].stage)
-            .max()
-            .expect("groups are never empty")
-    };
-
-    loop {
-        // Executing streams in anchor order (waiting residents hold a
-        // slot but no platform share).
-        let mut anchored: Vec<(usize, Stream)> = resident
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.stage == 0)
-            .map(|(i, _)| (i, Stream::Solo(i)))
-            .collect();
-        for (gi, g) in groups.iter().enumerate() {
-            let anchor = g
-                .members
-                .iter()
-                .copied()
-                .min()
-                .expect("groups are never empty");
-            anchored.push((anchor, Stream::Batch(gi)));
-        }
-        anchored.sort_by_key(|&(a, _)| a);
-
-        // Per-stream service times under the sharing discipline,
-        // frozen at `now`.
-        let services: Vec<f64> = match cfg.sharing {
-            SharePolicy::Uniform => {
-                let k = anchored.len();
-                anchored
-                    .iter()
-                    .map(|&(_, s)| match s {
-                        Stream::Solo(ri) => profiles.models[resident[ri].model].stage_service(0, k),
-                        Stream::Batch(gi) => {
-                            let g = &groups[gi];
-                            profiles.models[g.model].batched_stage_service(
-                                tick_stage(&resident, g),
-                                g.members.len(),
-                                k,
-                            )
-                        }
-                    })
-                    .collect()
-            }
-            SharePolicy::SloPressure => {
-                let weight = |ri: usize| {
-                    let r = &resident[ri];
-                    let deadline = r.arrival_s + cfg.models[r.model].slo_ms * 1e-3;
-                    1.0 / (deadline - now).max(SLACK_FLOOR_S)
-                };
-                // A group weighs the sum of its members' EDF pressures.
-                let weights: Vec<f64> = anchored
-                    .iter()
-                    .map(|&(_, s)| match s {
-                        Stream::Solo(ri) => weight(ri),
-                        Stream::Batch(gi) => groups[gi].members.iter().map(|&ri| weight(ri)).sum(),
-                    })
-                    .collect();
-                let total: f64 = weights.iter().sum();
-                anchored
-                    .iter()
-                    .zip(&weights)
-                    .map(|(&(_, s), w)| match s {
-                        Stream::Solo(ri) => {
-                            profiles.models[resident[ri].model].stage_service_at_share(0, w / total)
-                        }
-                        Stream::Batch(gi) => {
-                            let g = &groups[gi];
-                            profiles.models[g.model].batched_stage_service_at_share(
-                                tick_stage(&resident, g),
-                                g.members.len(),
-                                w / total,
-                            )
-                        }
-                    })
-                    .collect()
-            }
-        };
-
-        let rem_of = |s: Stream| match s {
-            Stream::Solo(ri) => resident[ri].remaining,
-            Stream::Batch(gi) => groups[gi].remaining,
-        };
-        let completion = anchored
-            .iter()
-            .enumerate()
-            .map(|(j, &(_, s))| (now + rem_of(s) * services[j], j))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let arrival = arrivals.get(next_arrival).map(|p| p.arrival_s);
-
-        // Completions win ties so a freed slot is visible to the
-        // simultaneous arrival.
-        let (t, event) = match (completion, arrival) {
-            (None, None) => break,
-            (Some((tc, j)), None) => (tc, Event::TickDone(j)),
+            (Some((tc, j)), None) => (tc, Event::Done(j)),
             (None, Some(ta)) => (ta, Event::Arrival),
             (Some((tc, j)), Some(ta)) => {
                 if tc <= ta {
-                    (tc, Event::TickDone(j))
+                    (tc, Event::Done(j))
                 } else {
                     (ta, Event::Arrival)
                 }
             }
         };
-        if t > horizon {
+        if at > horizon {
             break;
         }
 
-        // Advance every executing stream's remaining work to `t`.
-        let dt = t - now;
+        // Advance every stream's remaining work to `at`.
+        let dt = at - now;
         if dt > 0.0 {
-            for (j, &(_, s)) in anchored.iter().enumerate() {
-                match s {
-                    Stream::Solo(ri) => {
-                        let r = &mut resident[ri];
-                        r.remaining = (r.remaining - dt / services[j]).max(0.0);
-                    }
-                    Stream::Batch(gi) => {
-                        let g = &mut groups[gi];
-                        g.remaining = (g.remaining - dt / services[j]).max(0.0);
+            for (s, service) in streams.iter_mut().zip(&services) {
+                s.remaining = (s.remaining - dt / service).max(0.0);
+            }
+            t.concurrency_integral += streams.len() as f64 * dt;
+        }
+        now = at;
+
+        match event {
+            Event::Done(j) if streams[j].stage == 0 => {
+                let model = streams[j].model;
+                let name = &cfg.models[model].name;
+                let mut r = streams[j].members[0];
+                if profiles.models[model].n_stages() == 1 {
+                    tr.segment(&r, "execute", name, now);
+                    streams.remove(j);
+                    t.complete(&r, now, tr, mm);
+                    n_resident -= 1;
+                } else {
+                    tr.segment(&r, "prefill", name, now);
+                    // Prefill done: the first token is out (TTFT); the
+                    // generation enters the decode phase.
+                    t.ttfts[model].push(now - r.arrival_s);
+                    r.stage = 1;
+                    r.last_boundary_s = now;
+                    let cap = model_cap[model];
+                    let joinable = cap > 1
+                        && streams
+                            .iter()
+                            .any(|g| g.model == model && g.stage > 0 && g.members.len() < cap);
+                    if joinable {
+                        // A running group has space: join at its next
+                        // tick boundary.
+                        streams.remove(j);
+                        tr.await_batch(r.lane, now, r.id);
+                        waiting[model].push_back(r);
+                    } else {
+                        // No space anywhere: start a fresh group in
+                        // place, immediately (always the path at cap 1).
+                        let s = &mut streams[j];
+                        s.members[0] = r;
+                        s.restart(now);
                     }
                 }
             }
-            concurrency_integral += anchored.len() as f64 * dt;
-        }
-        now = t;
-
-        match event {
-            Event::TickDone(j) => match anchored[j].1 {
-                Stream::Solo(ri) => {
-                    let model = resident[ri].model;
-                    let (req_id, lane, seg_start) = {
-                        let r = &resident[ri];
-                        (r.id, r.lane, r.last_boundary_s)
+            Event::Done(j) => {
+                let s = &mut streams[j];
+                let model = s.model;
+                let name = &cfg.models[model].name;
+                let n_stages = profiles.models[model].n_stages();
+                // The policy only decides what the tick reports.
+                if continuous {
+                    let b = s.members.len();
+                    t.tick_occupancy.push(b as f64);
+                    mm.batch_tick(now, b);
+                    // The tick span rides the anchor member's lane,
+                    // carrying the occupancy and the stage that just
+                    // executed.
+                    let anchor = s.members.iter().find(|r| r.seq == s.anchor);
+                    let lane = anchor.expect("the anchor is a member").lane;
+                    tr.decode_tick(lane, name, s.started_s, now, b, s.stage);
+                } else {
+                    tr.segment(&s.members[0], "decode", name, now);
+                }
+                // Every member emits one token and advances one decode
+                // stage.
+                for r in &mut s.members {
+                    t.token_gaps[model].push(now - r.last_boundary_s);
+                    mm.token(model, now);
+                    r.stage += 1;
+                    r.last_boundary_s = now;
+                }
+                // Evict finished generations, latest admission first,
+                // without stalling the survivors.
+                let last_finished = |members: &[Resident]| {
+                    members
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, r)| r.stage >= n_stages)
+                        .max_by_key(|(_, r)| r.seq)
+                        .map(|(i, _)| i)
+                };
+                let mut regroup = false;
+                while let Some(i) = last_finished(&s.members) {
+                    let r = s.members.remove(i);
+                    t.complete(&r, now, tr, mm);
+                    n_resident -= 1;
+                    regroup = true;
+                }
+                // Boundary admission: absorb waiters into the freed
+                // space, then regroup any leftovers so nobody waits
+                // past this boundary.
+                let cap = model_cap[model];
+                while s.members.len() < cap {
+                    let Some(r) = waiting[model].pop_front() else {
+                        break;
                     };
-                    if profiles.models[model].n_stages() > 1 {
-                        tr.segment(
-                            lane,
-                            "prefill",
-                            &cfg.models[model].name,
-                            seg_start,
-                            now,
-                            req_id,
-                            0,
-                        );
-                        // Prefill done: the first token is out (TTFT);
-                        // the generation enters the decode phase.
-                        ttfts[model].push(now - resident[ri].arrival_s);
-                        let r = &mut resident[ri];
-                        r.stage = 1;
-                        r.last_boundary_s = now;
-                        r.remaining = 1.0;
-                        let cap = model_cap[model];
-                        let joinable = cap > 1
-                            && groups
-                                .iter()
-                                .any(|g| g.model == model && g.members.len() < cap);
-                        if joinable {
-                            // A running group has space: join at its
-                            // next tick boundary.
-                            waiting[model].push_back(ri);
-                            tr.await_batch(lane, now, req_id);
-                        } else {
-                            // No space anywhere: start a fresh group
-                            // immediately. (At `max_batch = 1` this is
-                            // always the path — nobody ever waits.)
-                            groups.push(Group {
-                                model,
-                                members: vec![ri],
-                                remaining: 1.0,
-                                started_s: now,
-                            });
-                        }
-                    } else {
-                        tr.segment(
-                            lane,
-                            "execute",
-                            &cfg.models[model].name,
-                            seg_start,
-                            now,
-                            req_id,
-                            0,
-                        );
-                        let r = remove_resident(&mut resident, &mut groups, &mut waiting, ri);
-                        latencies[r.model].push(now - r.arrival_s);
-                        delays[r.model].push(r.admitted_s - r.arrival_s);
-                        tr.complete(lane, now, req_id);
-                        mm.complete(r.model, now, now - r.arrival_s);
+                    s.members.push(r);
+                    regroup = true;
+                }
+                if s.members.is_empty() {
+                    streams.remove(j);
+                } else {
+                    s.restart(now);
+                    regroup |= !waiting[model].is_empty();
+                    while !waiting[model].is_empty() {
+                        let take = waiting[model].len().min(cap);
+                        let members = waiting[model].drain(..take).collect();
+                        streams.push(Cohort::new(model, members, now));
+                    }
+                    if regroup {
+                        streams.sort_by_key(|s| s.anchor);
                     }
                 }
-                Stream::Batch(gi) => {
-                    let model = groups[gi].model;
-                    let n_stages = profiles.models[model].n_stages();
-                    tick_occupancy.push(groups[gi].members.len() as f64);
-                    mm.batch_tick(now, groups[gi].members.len());
-                    if tr.enabled() {
-                        // The tick span rides the anchor member's lane,
-                        // carrying the occupancy and the stage that
-                        // just executed.
-                        let g = &groups[gi];
-                        let anchor = g
-                            .members
-                            .iter()
-                            .copied()
-                            .min()
-                            .expect("groups are never empty");
-                        tr.decode_tick(
-                            resident[anchor].lane,
-                            &cfg.models[model].name,
-                            g.started_s,
-                            now,
-                            g.members.len(),
-                            tick_stage(&resident, g),
-                        );
-                    }
-                    // Every member emits one token and advances one
-                    // decode stage.
-                    let members = groups[gi].members.clone();
-                    let mut finished: Vec<usize> = Vec::new();
-                    for &ri in &members {
-                        let r = &mut resident[ri];
-                        token_gaps[model].push(now - r.last_boundary_s);
-                        mm.token(model, now);
-                        r.stage += 1;
-                        r.last_boundary_s = now;
-                        if r.stage >= n_stages {
-                            finished.push(ri);
-                        }
-                    }
-                    // Evict finished generations without stalling the
-                    // survivors (descending order keeps the remaining
-                    // indices valid through the shifts).
-                    finished.sort_unstable();
-                    for &ri in finished.iter().rev() {
-                        let (req_id, lane) = (resident[ri].id, resident[ri].lane);
-                        let r = remove_resident(&mut resident, &mut groups, &mut waiting, ri);
-                        latencies[r.model].push(now - r.arrival_s);
-                        delays[r.model].push(r.admitted_s - r.arrival_s);
-                        tr.complete(lane, now, req_id);
-                        mm.complete(r.model, now, now - r.arrival_s);
-                    }
-                    // Boundary admission: absorb waiters into the
-                    // freed space, then regroup any leftovers so
-                    // nobody waits past this boundary.
-                    let cap = model_cap[model];
-                    while groups[gi].members.len() < cap {
-                        match waiting[model].pop_front() {
-                            Some(ri) => groups[gi].members.push(ri),
-                            None => break,
-                        }
-                    }
-                    while let Some(ri) = waiting[model].pop_front() {
-                        let mut members = vec![ri];
-                        while members.len() < cap {
-                            match waiting[model].pop_front() {
-                                Some(ri) => members.push(ri),
-                                None => break,
-                            }
-                        }
-                        groups.push(Group {
-                            model,
-                            members,
-                            remaining: 1.0,
-                            started_s: now,
-                        });
-                    }
-                    if groups[gi].members.is_empty() {
-                        groups.remove(gi);
-                    } else {
-                        groups[gi].remaining = 1.0;
-                        groups[gi].started_s = now;
-                    }
-                }
-            },
+            }
             Event::Arrival => {
                 let p = arrivals[next_arrival];
                 next_arrival += 1;
-                arrived[p.model] += 1;
+                t.arrived[p.model] += 1;
                 queues[p.model].push_back(p);
                 tr.arrival(&p);
             }
@@ -1538,49 +1251,42 @@ fn run_continuous(
 
         // Fill freed slots per the policy (waiting residents still
         // hold their slot).
-        while resident.len() < cfg.max_concurrency {
-            match select_next(cfg, profiles, &queues, &mut rr_cursor) {
-                Some(model) => {
-                    let p = queues[model].pop_front().expect("selected queue non-empty");
-                    let lane = tr.admit(&p, now);
-                    resident.push(Resident {
-                        model: p.model,
-                        arrival_s: p.arrival_s,
-                        admitted_s: now,
-                        stage: 0,
-                        last_boundary_s: now,
-                        remaining: 1.0,
-                        id: p.id,
-                        lane,
-                    });
-                }
-                None => break,
-            }
+        while n_resident < cfg.max_concurrency {
+            let Some(model) = select_next(cfg, profiles, &queues, &mut rr_cursor) else {
+                break;
+            };
+            let p = queues[model].pop_front().expect("selected queue non-empty");
+            let lane = tr.admit(&p, now);
+            let r = Resident {
+                model,
+                arrival_s: p.arrival_s,
+                admitted_s: now,
+                seq: admitted,
+                stage: 0,
+                last_boundary_s: now,
+                id: p.id,
+                lane,
+            };
+            streams.push(Cohort::new(model, vec![r], now));
+            admitted += 1;
+            n_resident += 1;
         }
-        tr.occupancy(now, resident.len(), queues.iter().map(|q| q.len()).sum());
-        mm.occupancy(now, resident.len(), &queues);
+        tr.occupancy(now, n_resident, queues.iter().map(|q| q.len()).sum());
+        mm.occupancy(now, n_resident, &queues);
     }
-    let streams_at_end = resident.iter().filter(|r| r.stage == 0).count() + groups.len();
-    concurrency_integral += streams_at_end as f64 * (horizon - now).max(0.0);
-
-    let mut in_flight = vec![0u64; n];
-    for r in &resident {
-        in_flight[r.model] += 1;
+    t.concurrency_integral += streams.len() as f64 * (horizon - now).max(0.0);
+    for r in streams
+        .iter()
+        .flat_map(|s| &s.members)
+        .chain(waiting.iter().flatten())
+    {
+        t.in_flight[r.model] += 1;
     }
-    SimTallies {
-        latencies,
-        delays,
-        ttfts,
-        token_gaps,
-        arrived,
-        in_flight,
-        queued_at_horizon: queues.iter().map(|q| q.len() as u64).collect(),
-        concurrency_integral,
-        tick_occupancy,
-    }
+    t.queued_at_horizon = queues.iter().map(|q| q.len() as u64).collect();
+    t
 }
 
-/// Rolls an event loop's tallies up into the report.
+/// Rolls the event loop's tallies up into the report.
 fn roll_up(cfg: &ServeConfig, profiles: &ServiceProfiles, t: SimTallies) -> ServeReport {
     let n = cfg.models.len();
     let horizon = cfg.duration_s;
@@ -1956,18 +1662,18 @@ mod tests {
         )
         .with_duration_s(0.25)
         .with_max_concurrency(2);
-        let legacy = simulate(&cfg).expect("per-stream");
+        let per_stream = simulate(&cfg).expect("per-stream");
         let singleton = simulate(&cfg.clone().with_batching(BatchPolicy::continuous(1)))
             .expect("continuous mb=1");
-        // Singleton groups never wait and tick exactly like per-stream
-        // decode; only the policy label and the (now non-empty) tick
-        // stats may differ.
+        // Per-stream decode is the cap-1 case of the same loop; only
+        // the policy label and the (now non-empty) tick stats may
+        // differ.
         assert!(singleton.batch.ticks > 0);
         assert_eq!(singleton.batch.max_occupancy, 1.0);
         let mut normalized = singleton.clone();
-        normalized.batching = legacy.batching;
-        normalized.batch = legacy.batch;
-        assert_eq!(normalized, legacy);
+        normalized.batching = per_stream.batching;
+        normalized.batch = per_stream.batch;
+        assert_eq!(normalized, per_stream);
     }
 
     #[test]
@@ -2020,9 +1726,35 @@ mod tests {
         .with_duration_s(0.05)
         .with_max_concurrency(2);
         let per_stream_profiles = build_profiles(&cfg).expect("per-stream profiles");
-        let batched_cfg = cfg.with_batching(BatchPolicy::continuous(2));
+        let batched_cfg = cfg.clone().with_batching(BatchPolicy::continuous(2));
         let err = simulate_with_profiles(&batched_cfg, &per_stream_profiles)
             .expect_err("per-stream profiles lack batch planes");
         assert!(err.to_string().contains("batched decode planes"), "{err}");
+        // Profiles built for a shallower cap are rejected too, rather
+        // than silently capping the run's decode ticks at their depth.
+        let wide = cfg.with_max_concurrency(4);
+        let cap2 = wide.clone().with_batching(BatchPolicy::continuous(2));
+        let cap2_profiles = build_profiles(&cap2).expect("continuous(2) profiles");
+        let err = simulate_with_profiles(
+            &wide.clone().with_batching(BatchPolicy::continuous(4)),
+            &cap2_profiles,
+        )
+        .expect_err("continuous(2) profiles lack planes 3 and 4");
+        assert!(err.to_string().contains("batched decode planes"), "{err}");
+        // A cap the planes cover still serves.
+        for batching in [BatchPolicy::continuous(1), BatchPolicy::continuous(2)] {
+            simulate_with_profiles(&wide.clone().with_batching(batching), &cap2_profiles)
+                .expect("planes cover the cap");
+        }
+        // A generator without a `GeneratorSpec` tabulates plane 1 only
+        // and keeps decoding per-stream under any cap.
+        let mut specless = wide
+            .with_batching(BatchPolicy::continuous(4))
+            .with_duration_s(0.25);
+        specless.models[0].generator_spec = None;
+        let profiles = build_profiles(&specless).expect("spec-less profiles");
+        let r = simulate_with_profiles(&specless, &profiles).expect("spec-less generator serves");
+        assert!(r.batch.ticks > 0);
+        assert_eq!(r.batch.max_occupancy, 1.0);
     }
 }

@@ -1,13 +1,18 @@
 //! Invariants of the continuous-batching scheduler:
 //!
-//! * `max_batch = 1` reproduces the legacy per-stream report
-//!   **bit-for-bit** across seeds, policies, and sharing disciplines —
-//!   singleton groups never wait and tick exactly like per-stream
-//!   decode;
+//! * `max_batch = 1` reproduces the per-stream report **bit-for-bit**
+//!   (policy label and tick stats aside) across seeds, policies, and
+//!   sharing disciplines — per-stream decode is the cap-1 case of the
+//!   same event loop, so this pins that profiles built for either
+//!   policy schedule identically;
 //! * token emission is conserved across batching policies at light
 //!   load (batching changes *when* tokens come out, not *how many*);
 //! * the batch scheduler is deterministic in the seed;
 //! * tick occupancy respects the configured cap;
+//! * SLO-pressure batching of a mixed generator + CNN load is pinned
+//!   against committed report goldens (stream order enters the
+//!   pressure-weight sums, so a scheduler that mis-orders its streams
+//!   drifts them);
 //! * and the acceptance headline: at the same saturating offered load,
 //!   a GPT-2-small generator mix sustains strictly more tokens/sec
 //!   with continuous batching than per-stream decode on **both** 2.5D
@@ -16,11 +21,12 @@
 //! GPT-2-small profiles are built once per (platform, cap) and shared
 //! across every proptest case, so the suite stays fast.
 
+use std::hash::Hasher;
 use std::sync::OnceLock;
 
 use lumos_core::{Platform, PlatformConfig};
 use lumos_dnn::workload::Precision;
-use lumos_dse::{BatchPolicy, ServePolicy, SharePolicy};
+use lumos_dse::{BatchPolicy, ServePolicy, SharePolicy, StableHasher};
 use lumos_serve::{
     build_profiles, simulate_with_profiles, ServeConfig, ServeReport, ServedModel, ServiceProfiles,
 };
@@ -83,8 +89,10 @@ fn normalized(mut r: ServeReport, like: &ServeReport) -> ServeReport {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `max_batch = 1` ≡ legacy per-stream, bit for bit, across seeds,
-    /// admission policies, sharing disciplines, and offered loads.
+    /// `max_batch = 1` ≡ per-stream, bit for bit, across seeds,
+    /// admission policies, sharing disciplines, and offered loads:
+    /// per-stream-built and `continuous(1)`-built profiles schedule
+    /// identically.
     #[test]
     fn singleton_batching_is_per_stream_bitwise(
         seed in 0u64..1_000_000,
@@ -98,7 +106,7 @@ proptest! {
             .with_policy(policy_from(policy_idx))
             .with_sharing(sharing)
             .with_load_scale(load);
-        let legacy = simulate_with_profiles(
+        let per_stream = simulate_with_profiles(
             &cfg(BatchPolicy::PerStream),
             profiles_for(BatchPolicy::PerStream),
         ).expect("per-stream simulates");
@@ -108,7 +116,7 @@ proptest! {
         ).expect("continuous mb=1 simulates");
         // Derived PartialEq compares every f64 field; reports are
         // NaN-free by construction so equality means bit-identical.
-        prop_assert_eq!(normalized(singleton, &legacy), legacy);
+        prop_assert_eq!(normalized(singleton, &per_stream), per_stream);
     }
 
     /// The batch scheduler is a pure function of the configuration:
@@ -239,4 +247,69 @@ fn continuous_batching_sustains_more_tokens_per_second_on_both_platforms() {
             per_stream.aggregate_tokens_per_s
         );
     }
+}
+
+/// `(seed, digest of the report's JSON)` for [`slo_batching_cfg`],
+/// recorded while per-stream decode and continuous batching still ran
+/// in two separate event loops.
+const SLO_BATCHING_GOLDENS: [(u64, u64); 6] = [
+    (1, 0x40f4784c0beed8c4),
+    (2, 0x68c14eb991310920),
+    (3, 0x0c58463d46d2a878),
+    (4, 0xaa9fc19d9414b2d8),
+    (5, 0x043a1fe40d5e1802),
+    (6, 0x676468e56e969fd7),
+];
+
+/// A GPT-2-small generator sharing SiPh with a tight-SLO LeNet5 stream
+/// under SLO-pressure weights, at a load that batches (`1.0 + 0.4 ·
+/// seed`): groups form, evict and absorb waiters while pressure
+/// weights reorder the shares.
+fn slo_batching_cfg(seed: u64) -> ServeConfig {
+    let mix = vec![
+        ServedModel::generator(
+            &lumos_xformer::zoo::gpt2_small(),
+            32,
+            6,
+            1,
+            Precision::int8(),
+            500.0,
+            1_000.0,
+        ),
+        ServedModel::cnn(&lumos_dnn::zoo::lenet5(), Precision::int8(), 4_000.0, 5.0),
+    ];
+    ServeConfig::new(PlatformConfig::paper_table1(), Platform::Siph2p5D, mix)
+        .with_duration_s(0.1)
+        .with_max_concurrency(8)
+        .with_policy(ServePolicy::Fifo)
+        .with_sharing(SharePolicy::SloPressure)
+        .with_batching(BatchPolicy::continuous(3))
+        .with_seed(seed)
+        .with_load_scale(1.0 + 0.4 * seed as f64)
+}
+
+#[test]
+fn slo_pressure_batching_matches_goldens() {
+    let profiles = build_profiles(&slo_batching_cfg(1)).expect("mix profiles build");
+    let mut drifted = Vec::new();
+    for (seed, golden) in SLO_BATCHING_GOLDENS {
+        let report =
+            simulate_with_profiles(&slo_batching_cfg(seed), &profiles).expect("mix simulates");
+        assert!(
+            report.batch.max_occupancy > 1.0,
+            "seed {seed}: ticks must coalesce: {:?}",
+            report.batch
+        );
+        let mut h = StableHasher::new();
+        h.write_str(&report.to_json());
+        let got = h.finish();
+        if got != golden {
+            drifted.push(format!("({seed}, {got:#018x})"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "reports drifted from their goldens: {}",
+        drifted.join(", ")
+    );
 }

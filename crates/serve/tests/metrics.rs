@@ -4,20 +4,47 @@
 //!   **bitwise-identical** to the unmetered baseline, in both decode
 //!   disciplines;
 //! * the exports are deterministic — same-seed reruns produce
-//!   byte-identical Prometheus text and JSON lines;
+//!   byte-identical Prometheus text and JSON lines, pinned against
+//!   committed goldens;
 //! * a disabled `MetricsConfig` (the default) yields an empty snapshot;
 //! * and the counters account exactly for the report: token and
 //!   request totals match the per-model stats, SLO-ok totals match the
 //!   attainment fractions, and the batch-occupancy histogram counts
 //!   one observation per scheduler tick.
 
+use std::hash::Hasher;
+
 use lumos_core::{Platform, PlatformConfig};
 use lumos_dnn::workload::Precision;
+use lumos_dse::StableHasher;
 use lumos_metrics::{export_jsonl, export_prometheus, MetricsConfig, MetricsSnapshot};
 use lumos_serve::{simulate, simulate_metered, BatchPolicy, ServeConfig, ServedModel, SharePolicy};
 
 /// 1 ms metric windows: 50 per run at the 0.05 s horizon.
 const WINDOW_PS: u64 = 1_000_000_000;
+
+/// `(batching, digest of the Prometheus export, digest of the JSONL
+/// export)` of the metered scenario, recorded while per-stream decode
+/// and continuous batching still ran in two separate event loops. No
+/// tick of this scenario coalesces, so `continuous(3)` exports exactly
+/// what `continuous(1)` does.
+const EXPORT_GOLDENS: [(BatchPolicy, u64, u64); 3] = [
+    (
+        BatchPolicy::PerStream,
+        0x186d024749a4e43c,
+        0xb89370a25ceb3bc9,
+    ),
+    (
+        BatchPolicy::Continuous { max_batch: 1 },
+        0x797a38c6ebef1511,
+        0xa328bbb37b1ee6a7,
+    ),
+    (
+        BatchPolicy::Continuous { max_batch: 3 },
+        0x797a38c6ebef1511,
+        0xa328bbb37b1ee6a7,
+    ),
+];
 
 fn mix() -> Vec<ServedModel> {
     vec![
@@ -86,6 +113,31 @@ fn exports_are_byte_identical_across_same_seed_reruns() {
             "{batching:?}: jsonl exports diverged"
         );
     }
+}
+
+#[test]
+fn exports_match_goldens() {
+    let digest = |text: String| {
+        let mut h = StableHasher::new();
+        h.write_str(&text);
+        h.finish()
+    };
+    let mut drifted = Vec::new();
+    for (batching, prom_golden, jsonl_golden) in EXPORT_GOLDENS {
+        let (_, snap) = simulate_metered(&metered(batching)).expect("metered simulate");
+        let (prom, jsonl) = (
+            digest(export_prometheus(&snap)),
+            digest(export_jsonl(&snap)),
+        );
+        if (prom, jsonl) != (prom_golden, jsonl_golden) {
+            drifted.push(format!("({batching:?}, {prom:#018x}, {jsonl:#018x})"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "metric exports drifted from their goldens: {}",
+        drifted.join(", ")
+    );
 }
 
 #[test]

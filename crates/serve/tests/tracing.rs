@@ -4,17 +4,33 @@
 //!   **bitwise-identical** to the untraced baseline, in both decode
 //!   disciplines;
 //! * the event stream is deterministic — same-seed reruns export
-//!   byte-identical Chrome trace JSON;
+//!   byte-identical Chrome trace JSON, pinned against committed
+//!   goldens;
+//! * per-stream decode traces one `decode` segment per request and
+//!   step, continuous batching one `decode-tick` span per tick;
 //! * the ring sink bounds retention under overload (most recent events
 //!   win, older ones are dropped);
 //! * a disabled `TraceConfig` yields no events at all;
 //! * and the lifecycle instants account exactly for the report: one
 //!   `arrive` per arrival, one `complete` per served request.
 
+use std::hash::Hasher;
+
 use lumos_core::{Platform, PlatformConfig};
 use lumos_dnn::workload::Precision;
+use lumos_dse::StableHasher;
 use lumos_serve::{simulate, simulate_traced, BatchPolicy, ServeConfig, ServedModel, SharePolicy};
 use lumos_trace::{export_chrome_trace, EventKind, TraceConfig, TraceEvent};
+
+/// `(batching, digest of the scenario's Chrome export)`, recorded while
+/// per-stream decode and continuous batching still ran in two separate
+/// event loops. No tick of this scenario coalesces, so `continuous(3)`
+/// exports exactly what `continuous(1)` does.
+const CHROME_GOLDENS: [(BatchPolicy, u64); 3] = [
+    (BatchPolicy::PerStream, 0xc982e13b7b5a6ad6),
+    (BatchPolicy::Continuous { max_batch: 1 }, 0x8868ed63f7244d53),
+    (BatchPolicy::Continuous { max_batch: 3 }, 0x8868ed63f7244d53),
+];
 
 fn mix() -> Vec<ServedModel> {
     vec![
@@ -133,5 +149,46 @@ fn lifecycle_instants_account_for_the_report() {
         for e in instants_named(&events, "arrive") {
             assert!(e.tid >= queue_tid_base, "arrive on queue tid");
         }
+    }
+}
+
+#[test]
+fn chrome_exports_match_goldens() {
+    let mut drifted = Vec::new();
+    for (batching, golden) in CHROME_GOLDENS {
+        let traced_cfg = cfg(batching).with_trace(TraceConfig::enabled());
+        let (_, events) = simulate_traced(&traced_cfg).expect("traced simulate");
+        let mut h = StableHasher::new();
+        h.write_str(&export_chrome_trace(&events));
+        let got = h.finish();
+        if got != golden {
+            drifted.push(format!("({batching:?}, {got:#018x})"));
+        }
+    }
+    assert!(
+        drifted.is_empty(),
+        "Chrome exports drifted from their goldens: {}",
+        drifted.join(", ")
+    );
+}
+
+#[test]
+fn decode_spans_follow_the_batching_policy() {
+    let spans = |batching, cat: &str| {
+        let traced_cfg = cfg(batching).with_trace(TraceConfig::enabled());
+        let (_, events) = simulate_traced(&traced_cfg).expect("traced simulate");
+        events
+            .iter()
+            .filter(|e| e.dur_ps().is_some() && e.cat == cat)
+            .count()
+    };
+    // Per-stream decode closes one `decode` segment per request and
+    // step (what waterfalls read); continuous batching closes one
+    // `decode-tick` span per tick instead.
+    assert!(spans(BatchPolicy::PerStream, "decode") > 0);
+    assert_eq!(spans(BatchPolicy::PerStream, "decode-tick"), 0);
+    for batching in [BatchPolicy::continuous(1), BatchPolicy::continuous(3)] {
+        assert!(spans(batching, "decode-tick") > 0, "{batching:?}");
+        assert_eq!(spans(batching, "decode"), 0, "{batching:?}");
     }
 }
