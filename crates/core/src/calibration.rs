@@ -99,38 +99,95 @@ impl Calibration {
         ((n as f64 * self.mono_unit_scale).round() as usize).max(1)
     }
 
+    /// Checks every constant against its physical range and names the
+    /// first one outside it (`mac_rate_ghz = 0: MAC rate not positive
+    /// and finite`).
+    /// [`PlatformConfig::validate`](crate::config::PlatformConfig::validate)
+    /// returns the reason as a
+    /// [`CoreError::BadConfig`](crate::error::CoreError::BadConfig).
+    ///
+    /// # Errors
+    ///
+    /// The reason, naming the field and its value.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let fraction = |v: f64| (0.0..=1.0).contains(&v);
+        require(
+            positive(self.mac_rate_ghz),
+            "mac_rate_ghz",
+            self.mac_rate_ghz,
+            "MAC rate not positive and finite",
+        )?;
+        require(
+            self.dac_mw >= 0.0,
+            "dac_mw",
+            self.dac_mw,
+            "DAC power negative or NaN",
+        )?;
+        require(
+            fraction(self.unit_idle_frac),
+            "unit_idle_frac",
+            self.unit_idle_frac,
+            "idle fraction not in [0, 1]",
+        )?;
+        require(
+            fraction(self.mono_unit_scale) && self.mono_unit_scale > 0.0,
+            "mono_unit_scale",
+            self.mono_unit_scale,
+            "mono scale not in (0, 1]",
+        )?;
+        require(
+            self.elec_packet_bits > 0,
+            "elec_packet_bits",
+            self.elec_packet_bits,
+            "packet size not positive",
+        )?;
+        require(
+            positive(self.hop_mm_2p5d),
+            "hop_mm_2p5d",
+            self.hop_mm_2p5d,
+            "hop pitch not positive and finite",
+        )?;
+        require(
+            positive(self.mono_mem_gbps),
+            "mono_mem_gbps",
+            self.mono_mem_gbps,
+            "mono memory bandwidth not positive and finite",
+        )?;
+        require(
+            self.mono_static_w >= 0.0,
+            "mono_static_w",
+            self.mono_static_w,
+            "mono static power negative or NaN",
+        )?;
+        require(
+            self.comm_overlap_margin > 0.0 && self.comm_overlap_margin <= 1.0,
+            "comm_overlap_margin",
+            self.comm_overlap_margin,
+            "overlap margin not in (0, 1]",
+        )
+    }
+
     /// Validates the calibration.
     ///
     /// # Panics
     ///
-    /// Panics when a constant is outside its physical range.
+    /// Panics when a constant is outside its physical range, naming
+    /// it; [`PlatformConfig::validate`](crate::config::PlatformConfig::validate)
+    /// returns the same reason as an error.
     pub fn validate(&self) {
-        assert!(
-            self.mac_rate_ghz > 0.0 && self.mac_rate_ghz.is_finite(),
-            "MAC rate must be positive"
-        );
-        assert!(self.dac_mw >= 0.0, "DAC power must be non-negative");
-        assert!(
-            (0.0..=1.0).contains(&self.unit_idle_frac),
-            "idle fraction must be in [0,1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.mono_unit_scale) && self.mono_unit_scale > 0.0,
-            "mono scale must be in (0,1]"
-        );
-        assert!(self.elec_packet_bits > 0, "packet size must be positive");
-        assert!(
-            self.mono_mem_gbps > 0.0,
-            "mono memory bandwidth must be positive"
-        );
-        assert!(
-            self.mono_static_w >= 0.0,
-            "mono static power must be non-negative"
-        );
-        assert!(
-            self.comm_overlap_margin > 0.0 && self.comm_overlap_margin <= 1.0,
-            "overlap margin must be in (0,1]"
-        );
+        if let Err(reason) = self.check() {
+            panic!("{reason}");
+        }
+    }
+}
+
+/// `Ok` when `ok`, else the reason `field = value: what`.
+fn require(ok: bool, field: &str, value: impl std::fmt::Display, what: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("{field} = {value}: {what}"))
     }
 }
 

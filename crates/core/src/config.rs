@@ -211,7 +211,10 @@ impl PlatformConfig {
     }
 
     /// Checks internal consistency (gateway divisibility, chiplet counts
-    /// matching the photonic network, calibration ranges).
+    /// matching the photonic network) and the ranges of the HBM,
+    /// photonic-network and calibration values, so that no run of a
+    /// validated configuration panics on one of them. A range error
+    /// names its field (`hbm.channels = 0: need at least one channel`).
     ///
     /// # Errors
     ///
@@ -248,7 +251,17 @@ impl PlatformConfig {
                 ),
             });
         }
-        self.calibration.validate();
+        // The sub-configurations name their own fields; the prefix
+        // names the sub-configuration.
+        for (part, check) in [
+            ("hbm", self.hbm.check()),
+            ("phnet", self.phnet.check()),
+            ("calibration", self.calibration.check()),
+        ] {
+            check.map_err(|reason| CoreError::BadConfig {
+                reason: format!("{part}.{reason}"),
+            })?;
+        }
         Ok(())
     }
 }

@@ -16,11 +16,13 @@
 //!    streams (double buffering);
 //! 4. outputs stream back to memory (SWSR / mesh unicast).
 
-use lumos_dnn::workload::extract_workloads;
-use lumos_dnn::Model;
+use std::collections::HashMap;
+
+use lumos_dnn::workload::{extract_workloads, KernelClass};
+use lumos_dnn::{LayerWorkload, Model};
 use lumos_hbm::HbmStack;
 use lumos_metrics::{MetricId, MetricsRegistry};
-use lumos_noc::{Coord, MeshNetwork};
+use lumos_noc::{Coord, MeshNetwork, MeshTransfer};
 use lumos_phnet::network::PhotonicInterposer;
 use lumos_sim::{BandwidthServer, SimTime};
 use lumos_trace::{ArgValue, Tracer};
@@ -55,17 +57,21 @@ pub struct Runner {
 }
 
 /// The contention-independent half of a run ([`Runner::plan`]): one
-/// stream's workloads, borrowed, and the placement of each under the
-/// planning runner's configuration and [`PlacementPolicy`]. The plan
-/// borrows that runner too and always executes on it, so it cannot be
-/// paired with another stream or another configuration.
+/// stream's workloads, borrowed, their grouping by shape, and the
+/// placement of each under the planning runner's configuration and
+/// [`PlacementPolicy`]. The plan borrows that runner too and always
+/// executes on it, so it cannot be paired with another stream or
+/// another configuration.
 #[derive(Debug)]
 pub struct RunPlan<'a> {
     runner: &'a Runner,
     platform: Platform,
     model_name: &'a str,
-    workloads: &'a [lumos_dnn::LayerWorkload],
+    workloads: &'a [LayerWorkload],
     placements: Vec<Placement>,
+    /// Each workload's shape id, dense in order of first occurrence.
+    shapes: Vec<usize>,
+    shape_count: usize,
 }
 
 impl RunPlan<'_> {
@@ -79,6 +85,32 @@ impl RunPlan<'_> {
     /// without its placement step. Executing one plan under several
     /// contention models gives, model for model, the reports
     /// [`Runner::run_workloads_scaled`] gives.
+    ///
+    /// Each shape's link timing is simulated once per call. Without
+    /// weight prefetch
+    /// ([`prefetch_weights`](crate::calibration::Calibration::prefetch_weights),
+    /// off by default) every HBM channel, interposer lane, mesh link
+    /// and monolithic bus is idle when a layer starts, because each
+    /// layer starts after its predecessor's last stream finished. A
+    /// layer's timing relative to its start then depends only on its
+    /// shape, its placement and `contention`, all fixed within the
+    /// call. The photonic interposer's reconfiguration still runs for
+    /// every layer: its stall depends on the set the previous layer
+    /// left, and it only moves the start. So the first occurrence of
+    /// each shape is simulated, and every later one reuses its timing,
+    /// moved to the layer's start, and replays only its accounting:
+    /// HBM energy and bits ([`HbmStack::account`]), EO/OE energy and
+    /// interposer bits ([`PhotonicInterposer::account_unicast`] and
+    /// its siblings), mesh per-hop energy, bits, latency samples and
+    /// last-finish mark ([`MeshNetwork::account_transfer`]), and the
+    /// monolithic bus's served bits ([`BandwidthServer::account`]).
+    /// These are the accounting halves the simulated streams call
+    /// too, in the same order, so every report, trace and metrics
+    /// export is bit-identical to simulating every layer. A replay
+    /// leaves stale only what no output reads: each link's busy
+    /// horizon, busy time and per-server served bits. With prefetch
+    /// on, a layer's weights queue behind its predecessor's traffic,
+    /// and every layer is simulated.
     ///
     /// # Errors
     ///
@@ -175,6 +207,76 @@ impl RunMeter {
     }
 }
 
+/// The instants one layer's streams finish at: inbound HBM reads and
+/// fabric deliveries, compute, and the write-back on each link family.
+#[derive(Clone, Copy)]
+struct LayerTimes {
+    hbm_in_fin: SimTime,
+    net_in_fin: SimTime,
+    compute_fin: SimTime,
+    hbm_out_fin: SimTime,
+    net_out_fin: SimTime,
+}
+
+impl LayerTimes {
+    /// Every instant moved `by` later.
+    fn shifted(self, by: SimTime) -> Self {
+        LayerTimes {
+            hbm_in_fin: self.hbm_in_fin + by,
+            net_in_fin: self.net_in_fin + by,
+            compute_fin: self.compute_fin + by,
+            hbm_out_fin: self.hbm_out_fin + by,
+            net_out_fin: self.net_out_fin + by,
+        }
+    }
+}
+
+/// One mesh transfer a layer issued: issue instant, transfer, payload
+/// bits.
+type MeshSend = (SimTime, MeshTransfer, u64);
+
+/// The simulated first occurrence of a shape within one execution:
+/// its start, its timing, and (electrical mesh only) the transfers a
+/// later occurrence charges again.
+#[derive(Clone)]
+struct Simulated {
+    start: SimTime,
+    times: LayerTimes,
+    mesh: Vec<MeshSend>,
+}
+
+/// Everything the simulation reads of a workload but its name: two
+/// workloads of one shape place identically and, over idle links,
+/// stream identically.
+type Shape = (KernelClass, [u64; 7]);
+
+fn shape_of(w: &LayerWorkload) -> Shape {
+    // Destructured in full, so a new field cannot miss the key.
+    let LayerWorkload {
+        name: _,
+        class,
+        dot_products,
+        dot_length,
+        window,
+        macs,
+        weight_bits,
+        input_bits,
+        output_bits,
+    } = *w;
+    (
+        class,
+        [
+            dot_products,
+            dot_length,
+            window,
+            macs,
+            weight_bits,
+            input_bits,
+            output_bits,
+        ],
+    )
+}
+
 enum Backend {
     Siph {
         net: Box<PhotonicInterposer>,
@@ -191,6 +293,166 @@ enum Backend {
         bus: BandwidthServer,
         hbm: HbmStack,
     },
+}
+
+impl Backend {
+    /// Issues a layer's inbound streams: its weights, sharded over
+    /// `chiplets` and issued at `weight_issue`, and its input
+    /// activations, broadcast to them at `start`. Returns when the HBM
+    /// reads and when the fabric deliveries finish. The two link
+    /// families finish independently (HBM channel vs. interposer/bus
+    /// fabric) so the trace can attribute the stream to each. Mesh
+    /// transfers are logged to `mesh`.
+    fn stream_in(
+        &mut self,
+        w: &LayerWorkload,
+        chiplets: &[usize],
+        weight_shard: u64,
+        weight_issue: SimTime,
+        start: SimTime,
+        mesh: &mut Vec<MeshSend>,
+    ) -> (SimTime, SimTime) {
+        match self {
+            Backend::Siph { net, hbm } => {
+                let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
+                let hbm_a = hbm.read(start, w.input_bits).finish;
+                let mut net_fin = SimTime::ZERO;
+                for &c in chiplets {
+                    net_fin = net_fin.max(net.read_unicast(weight_issue, c, weight_shard).finish);
+                }
+                net_fin = net_fin.max(net.read_broadcast(start, w.input_bits).finish);
+                (hbm_w.max(hbm_a), net_fin)
+            }
+            Backend::Elec {
+                net,
+                hbm,
+                mem,
+                positions,
+                packet_bits,
+            } => {
+                let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
+                let hbm_a = hbm.read(start, w.input_bits).finish;
+                let mut send = |at: SimTime, dst: Coord, bits: u64| {
+                    let t = net.transfer_packets(at, *mem, dst, bits, *packet_bits);
+                    mesh.push((at, t, bits));
+                    t.finish
+                };
+                let mut net_fin = SimTime::ZERO;
+                for &c in chiplets {
+                    net_fin = net_fin.max(send(weight_issue, positions[c], weight_shard));
+                }
+                // Replicated unicast: a passive electrical interposer
+                // has no multicast.
+                let mut broadcast_fin = start;
+                for &c in chiplets {
+                    broadcast_fin = broadcast_fin.max(send(start, positions[c], w.input_bits));
+                }
+                (hbm_w.max(hbm_a), net_fin.max(broadcast_fin))
+            }
+            Backend::Mono { bus, hbm } => {
+                let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
+                let hbm_a = hbm.read(start, w.input_bits).finish;
+                let w_grant = bus.serve(weight_issue, w.weight_bits);
+                let a_grant = bus.serve(start, w.input_bits);
+                (hbm_w.max(hbm_a), w_grant.finish.max(a_grant.finish))
+            }
+        }
+    }
+
+    /// Issues a layer's write-back at `at`, one output shard per chiplet
+    /// of `chiplets`; returns when the HBM write and the fabric finish.
+    /// Mesh transfers are logged to `mesh`.
+    fn stream_out(
+        &mut self,
+        w: &LayerWorkload,
+        chiplets: &[usize],
+        output_shard: u64,
+        at: SimTime,
+        mesh: &mut Vec<MeshSend>,
+    ) -> (SimTime, SimTime) {
+        match self {
+            Backend::Siph { net, hbm } => {
+                let hbm_fin = hbm.write(at, w.output_bits).finish;
+                let mut net_fin = SimTime::ZERO;
+                for &c in chiplets {
+                    net_fin = net_fin.max(net.write(at, c, output_shard).finish);
+                }
+                (hbm_fin, net_fin)
+            }
+            Backend::Elec {
+                net,
+                hbm,
+                mem,
+                positions,
+                packet_bits,
+            } => {
+                let hbm_fin = hbm.write(at, w.output_bits).finish;
+                let mut net_fin = SimTime::ZERO;
+                for &c in chiplets {
+                    let t =
+                        net.transfer_packets(at, positions[c], *mem, output_shard, *packet_bits);
+                    mesh.push((at, t, output_shard));
+                    net_fin = net_fin.max(t.finish);
+                }
+                (hbm_fin, net_fin)
+            }
+            Backend::Mono { bus, hbm } => {
+                let hbm_fin = hbm.write(at, w.output_bits).finish;
+                (hbm_fin, bus.serve(at, w.output_bits).finish)
+            }
+        }
+    }
+
+    /// Charges a repeat of a layer whose timing is already known: the
+    /// accounting half of every stream [`Backend::stream_in`] and
+    /// [`Backend::stream_out`] issue, in their order per accumulator,
+    /// with `mesh` (the first occurrence's transfers) moved `shift`
+    /// later.
+    fn replay(
+        &mut self,
+        w: &LayerWorkload,
+        chiplets: &[usize],
+        weight_shard: u64,
+        output_shard: u64,
+        mesh: &[MeshSend],
+        shift: SimTime,
+    ) {
+        match self {
+            Backend::Siph { net, hbm } => {
+                hbm.account(w.weight_bits);
+                hbm.account(w.input_bits);
+                for _ in chiplets {
+                    net.account_unicast(weight_shard);
+                }
+                net.account_broadcast(w.input_bits);
+                hbm.account(w.output_bits);
+                for _ in chiplets {
+                    net.account_write(output_shard);
+                }
+            }
+            Backend::Elec { net, hbm, .. } => {
+                hbm.account(w.weight_bits);
+                hbm.account(w.input_bits);
+                hbm.account(w.output_bits);
+                for &(at, t, bits) in mesh {
+                    let moved = MeshTransfer {
+                        start: t.start + shift,
+                        finish: t.finish + shift,
+                        hops: t.hops,
+                    };
+                    net.account_transfer(at + shift, &moved, bits);
+                }
+            }
+            Backend::Mono { bus, hbm } => {
+                hbm.account(w.weight_bits);
+                hbm.account(w.input_bits);
+                bus.account(w.weight_bits);
+                bus.account(w.input_bits);
+                hbm.account(w.output_bits);
+                bus.account(w.output_bits);
+            }
+        }
+    }
 }
 
 impl Runner {
@@ -342,10 +604,15 @@ impl Runner {
     }
 
     /// The contention-independent half of a run: validates the
-    /// configuration and places every workload under the runner's
-    /// [`PlacementPolicy`], once. The plan borrows this runner,
-    /// `workloads` and the name, so [`RunPlan::execute`] always runs
-    /// it on this runner's configuration and this stream.
+    /// configuration, groups the workloads by shape (every
+    /// [`LayerWorkload`] field but `name`) and places each distinct
+    /// shape once under the runner's [`PlacementPolicy`]; repeats share
+    /// their shape's placement. A GPT-2 decode step's 124 workloads
+    /// are 11 shapes, so it places 11 times. The grouping is also what
+    /// lets [`RunPlan::execute`] simulate each shape once. The plan
+    /// borrows this runner, `workloads` and the name, so
+    /// [`RunPlan::execute`] always runs it on this runner's
+    /// configuration and this stream.
     ///
     /// # Errors
     ///
@@ -371,19 +638,31 @@ impl Runner {
         &'a self,
         platform: &Platform,
         model_name: &'a str,
-        workloads: &'a [lumos_dnn::LayerWorkload],
+        workloads: &'a [LayerWorkload],
     ) -> Result<RunPlan<'a>, CoreError> {
         self.cfg.validate()?;
-        let placements = workloads
-            .iter()
-            .map(|w| place_with(&self.cfg, w, &self.placement))
-            .collect::<Result<_, _>>()?;
+        // Each shape's id and first workload, by shape.
+        let mut firsts: HashMap<Shape, (usize, usize)> = HashMap::new();
+        let mut shapes = Vec::with_capacity(workloads.len());
+        let mut placements: Vec<Placement> = Vec::with_capacity(workloads.len());
+        for (i, w) in workloads.iter().enumerate() {
+            let next = (firsts.len(), i);
+            let (shape, first) = *firsts.entry(shape_of(w)).or_insert(next);
+            placements.push(if first == i {
+                place_with(&self.cfg, w, &self.placement)?
+            } else {
+                placements[first].clone()
+            });
+            shapes.push(shape);
+        }
         Ok(RunPlan {
             runner: self,
             platform: *platform,
             model_name,
             workloads,
             placements,
+            shapes,
+            shape_count: firsts.len(),
         })
     }
 
@@ -448,8 +727,20 @@ impl Runner {
         // at layer i's start (weights are static; the FIFO servers then
         // naturally overlap them with layer i's tail traffic).
         let mut prev_start: Option<SimTime> = None;
+        // Without it, the first occurrence of each shape is simulated
+        // and its later ones reuse that timing (see `RunPlan::execute`).
+        let mut memo: Vec<Option<Simulated>> = if calib.prefetch_weights {
+            Vec::new()
+        } else {
+            vec![None; plan.shape_count]
+        };
 
-        for (w, placement) in plan.workloads.iter().zip(&plan.placements) {
+        for ((w, placement), &shape) in plan
+            .workloads
+            .iter()
+            .zip(&plan.placements)
+            .zip(&plan.shapes)
+        {
             // Per-share compute: every class runs its passes in
             // parallel; the layer's compute span is the slowest share
             // (the throughput-proportional GEMM split keeps the shares
@@ -516,110 +807,54 @@ impl Runner {
             } else {
                 start
             };
-            // The two link families finish independently (HBM channel
-            // vs. interposer/bus fabric) so the trace can attribute the
-            // stream to each; `max` is commutative, so folding them
-            // separately leaves `comm_in_fin` bit-identical to the
-            // historical single running max.
-            let (hbm_in_fin, net_in_fin) = match &mut backend {
-                Backend::Siph { net, hbm } => {
-                    let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
-                    let hbm_a = hbm.read(start, w.input_bits).finish;
-                    let mut net_fin = SimTime::ZERO;
-                    for &c in &placement.chiplets {
-                        net_fin =
-                            net_fin.max(net.read_unicast(weight_issue, c, weight_shard).finish);
-                    }
-                    net_fin = net_fin.max(net.read_broadcast(start, w.input_bits).finish);
-                    (hbm_w.max(hbm_a), net_fin)
-                }
-                Backend::Elec {
-                    net,
-                    hbm,
-                    mem,
-                    positions,
-                    packet_bits,
-                } => {
-                    let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
-                    let hbm_a = hbm.read(start, w.input_bits).finish;
-                    let mut net_fin = SimTime::ZERO;
-                    for &c in &placement.chiplets {
-                        net_fin = net_fin.max(
-                            net.transfer_packets(
-                                weight_issue,
-                                *mem,
-                                positions[c],
-                                weight_shard,
-                                *packet_bits,
-                            )
-                            .finish,
-                        );
-                    }
-                    let dsts: Vec<Coord> =
-                        placement.chiplets.iter().map(|&c| positions[c]).collect();
-                    net_fin = net_fin.max(net.broadcast_packets(
-                        start,
-                        *mem,
-                        &dsts,
-                        w.input_bits,
-                        *packet_bits,
-                    ));
-                    (hbm_w.max(hbm_a), net_fin)
-                }
-                Backend::Mono { bus, hbm } => {
-                    let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
-                    let hbm_a = hbm.read(start, w.input_bits).finish;
-                    let w_grant = bus.serve(weight_issue, w.weight_bits);
-                    let a_grant = bus.serve(start, w.input_bits);
-                    (hbm_w.max(hbm_a), w_grant.finish.max(a_grant.finish))
-                }
-            };
-            let comm_in_fin = hbm_in_fin.max(net_in_fin);
             prev_start = Some(start);
-
-            // Compute overlaps the inbound stream (double buffering): it
-            // cannot finish before either the data or the passes do.
             let compute_span = SimTime::from_secs_f64(compute_s);
-            let compute_fin = comm_in_fin.max(start + compute_span);
-
-            // Outbound write-back, again split by link family.
-            let (hbm_out_fin, net_out_fin) = match &mut backend {
-                Backend::Siph { net, hbm } => {
-                    let hbm_fin = hbm.write(compute_fin, w.output_bits).finish;
-                    let mut net_fin = SimTime::ZERO;
-                    for &c in &placement.chiplets {
-                        net_fin = net_fin.max(net.write(compute_fin, c, output_shard).finish);
-                    }
-                    (hbm_fin, net_fin)
+            let chiplets = &placement.chiplets;
+            let times = match memo.get(shape) {
+                Some(Some(first)) => {
+                    // A repeat over idle links: the first occurrence's
+                    // timing, moved to this start, and its accounting.
+                    let shift = start - first.start;
+                    backend.replay(w, chiplets, weight_shard, output_shard, &first.mesh, shift);
+                    first.times.shifted(shift)
                 }
-                Backend::Elec {
-                    net,
-                    hbm,
-                    mem,
-                    positions,
-                    packet_bits,
-                } => {
-                    let hbm_fin = hbm.write(compute_fin, w.output_bits).finish;
-                    let mut net_fin = SimTime::ZERO;
-                    for &c in &placement.chiplets {
-                        net_fin = net_fin.max(
-                            net.transfer_packets(
-                                compute_fin,
-                                positions[c],
-                                *mem,
-                                output_shard,
-                                *packet_bits,
-                            )
-                            .finish,
-                        );
+                _ => {
+                    let mut mesh = Vec::new();
+                    let (hbm_in_fin, net_in_fin) = backend.stream_in(
+                        w,
+                        chiplets,
+                        weight_shard,
+                        weight_issue,
+                        start,
+                        &mut mesh,
+                    );
+                    // Compute overlaps the inbound stream (double
+                    // buffering): it cannot finish before either the
+                    // data or the passes do.
+                    let compute_fin = hbm_in_fin.max(net_in_fin).max(start + compute_span);
+                    let (hbm_out_fin, net_out_fin) =
+                        backend.stream_out(w, chiplets, output_shard, compute_fin, &mut mesh);
+                    let times = LayerTimes {
+                        hbm_in_fin,
+                        net_in_fin,
+                        compute_fin,
+                        hbm_out_fin,
+                        net_out_fin,
+                    };
+                    if let Some(slot) = memo.get_mut(shape) {
+                        *slot = Some(Simulated { start, times, mesh });
                     }
-                    (hbm_fin, net_fin)
-                }
-                Backend::Mono { bus, hbm } => {
-                    let hbm_fin = hbm.write(compute_fin, w.output_bits).finish;
-                    (hbm_fin, bus.serve(compute_fin, w.output_bits).finish)
+                    times
                 }
             };
+            let LayerTimes {
+                hbm_in_fin,
+                net_in_fin,
+                compute_fin,
+                hbm_out_fin,
+                net_out_fin,
+            } = times;
+            let comm_in_fin = hbm_in_fin.max(net_in_fin);
             let layer_fin = hbm_out_fin.max(net_out_fin);
 
             bits_moved += w.total_bits();

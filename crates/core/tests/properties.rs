@@ -1,8 +1,11 @@
 //! Property-based tests of the platform runner on randomly generated
 //! (but valid) convolutional models.
 
-use lumos_core::{Platform, PlatformConfig, Runner};
+use lumos_core::{ContentionModel, Platform, PlatformConfig, Runner};
+use lumos_dnn::workload::{extract_workloads, LayerWorkload};
 use lumos_dnn::{Layer, Model, Padding, TensorShape};
+use lumos_phnet::controller::ReconfigPolicy;
+use lumos_sim::SimTime;
 use proptest::prelude::*;
 
 /// Strategy: a random small sequential CNN that always shape-checks.
@@ -39,8 +42,67 @@ fn random_cnn() -> impl Strategy<Value = Model> {
         })
 }
 
+/// The platform × interposer-policy pairs on which a stream's latency
+/// is the sum of its layers' single-layer latencies: monolithic and
+/// the electrical mesh under every policy (neither has an interposer to
+/// reconfigure), and the photonic interposer under the two policies
+/// that never toggle a PCM coupler, so no layer stalls on the set its
+/// predecessor left behind.
+fn additive_pairs() -> Vec<(Platform, ReconfigPolicy)> {
+    let all = [
+        ReconfigPolicy::ResipiGateways,
+        ReconfigPolicy::ProwavesWavelengths,
+        ReconfigPolicy::StaticFull,
+        ReconfigPolicy::StaticMin,
+    ];
+    let mut pairs: Vec<_> = [Platform::Monolithic, Platform::Elec2p5D]
+        .into_iter()
+        .flat_map(|p| all.map(|policy| (p, policy)))
+        .collect();
+    pairs.push((Platform::Siph2p5D, ReconfigPolicy::StaticFull));
+    pairs.push((Platform::Siph2p5D, ReconfigPolicy::ProwavesWavelengths));
+    pairs
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Without weight prefetch every link is idle when a layer starts,
+    /// so a layer takes as long inside a stream as alone: a stream of
+    /// randomly repeated layers lasts exactly the sum of its layers'
+    /// single-layer runs, to the picosecond, under contention too.
+    #[test]
+    fn stream_latency_is_additive_over_layers(
+        model in random_cnn(),
+        picks in proptest::collection::vec(0usize..64, 1..16),
+        contention in prop::sample::select(vec![
+            ContentionModel::uncontended(),
+            ContentionModel::of_resident_streams(3),
+            ContentionModel::uniform(0.5).with_bandwidth_share(0.2),
+        ]),
+    ) {
+        let base = PlatformConfig::paper_table1();
+        let layers = extract_workloads(&model, base.precision);
+        let stream: Vec<LayerWorkload> = picks
+            .iter()
+            .map(|&i| layers[i % layers.len()].clone())
+            .collect();
+        for (platform, policy) in additive_pairs() {
+            let mut cfg = base.clone();
+            cfg.phnet.policy = policy;
+            let runner = Runner::new(cfg);
+            let latency = |work: &[LayerWorkload]| {
+                runner
+                    .run_workloads_scaled(&platform, "stream", work, &contention)
+                    .expect("valid stream runs")
+                    .total_latency
+            };
+            let sum = stream
+                .iter()
+                .fold(SimTime::ZERO, |acc, w| acc + latency(std::slice::from_ref(w)));
+            prop_assert_eq!(latency(&stream), sum, "{} {:?}", platform, policy);
+        }
+    }
 
     /// Every random model runs on every platform, with causal layer
     /// reports and self-consistent totals.

@@ -55,6 +55,25 @@ impl HbmConfig {
     pub fn aggregate_gbps(&self) -> f64 {
         self.channels as f64 * self.channel_rate_gbps
     }
+
+    /// Checks that [`HbmStack::new`] accepts this configuration and
+    /// names the first field it would reject.
+    ///
+    /// # Errors
+    ///
+    /// The reason, naming the field and its value.
+    pub fn check(&self) -> Result<(), String> {
+        if self.channels == 0 {
+            return Err("channels = 0: need at least one channel".into());
+        }
+        let rate = self.channel_rate_gbps;
+        if !(rate.is_finite() && rate > 0.0) {
+            return Err(format!(
+                "channel_rate_gbps = {rate}: channel rate not positive and finite"
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl Default for HbmConfig {
@@ -123,12 +142,25 @@ impl HbmStack {
         }
         let ready = at + SimTime::from_ns(self.config.access_latency_ns);
         let grant: Grant = self.channels.serve_striped(ready, bits);
-        self.energy_j += self.config.energy_pj_per_bit * 1e-12 * bits as f64;
-        self.bits += bits;
+        self.account(bits);
         MemoryAccess {
             start: grant.start,
             finish: grant.finish,
         }
+    }
+
+    /// Charges a burst of `bits` (its access energy and its bits)
+    /// without occupying a channel: the accounting half of
+    /// [`HbmStack::read`] and [`HbmStack::write`], which call it once
+    /// per burst. A caller that already knows a burst's timing replays
+    /// it with this alone; channel occupancy is left as it was. A
+    /// zero-bit burst charges nothing.
+    pub fn account(&mut self, bits: u64) {
+        if bits == 0 {
+            return;
+        }
+        self.energy_j += self.config.energy_pj_per_bit * 1e-12 * bits as f64;
+        self.bits += bits;
     }
 
     /// Dynamic energy spent so far, joules.

@@ -112,8 +112,6 @@ impl MeshNetwork {
         let path = xy_hops(&self.mesh, src, dst);
         let hops = path.len() as u32;
         let per_hop = self.router_model.hop_latency() + self.link_model.traversal_latency();
-        let hop_energy_j =
-            self.link_model.energy_joules(bits) + self.router_model.energy_joules(bits);
 
         let mut head = at;
         let mut start = None;
@@ -123,16 +121,13 @@ impl MeshNetwork {
             start.get_or_insert(grant.start);
             head = grant.start + per_hop;
             tail_finish = grant.finish + per_hop;
-            self.energy_j += hop_energy_j;
         }
-        self.bits_moved += bits;
         let result = MeshTransfer {
             start: start.expect("path is non-empty"),
             finish: tail_finish,
             hops,
         };
-        self.latencies.record(result.finish.saturating_sub(at));
-        self.last_finish = self.last_finish.max(result.finish);
+        self.account_transfer(at, &result, bits);
         result
     }
 
@@ -190,25 +185,42 @@ impl MeshNetwork {
         // equivalent link occupancy bits.
         let equiv_bits =
             (duration.as_ps() as f64 * self.link_model.bandwidth_gbps() / 1e3).ceil() as u64;
-        let hop_energy_j =
-            self.link_model.energy_joules(bits) + self.router_model.energy_joules(bits);
         let mut start = None;
         let mut finish = at;
         for link in path {
             let grant = self.links[link_slot(&self.mesh, link)].serve(at, equiv_bits);
             start.get_or_insert(grant.start);
             finish = finish.max(grant.finish);
-            self.energy_j += hop_energy_j;
         }
-        self.bits_moved += bits;
         let result = MeshTransfer {
             start: start.expect("path is non-empty"),
             finish,
             hops: hops as u32,
         };
-        self.latencies.record(result.finish.saturating_sub(at));
-        self.last_finish = self.last_finish.max(result.finish);
+        self.account_transfer(at, &result, bits);
         result
+    }
+
+    /// Charges `transfer`, a transfer of `bits` issued at `at`, without
+    /// occupying a link: link and router energy once per hop, its
+    /// payload bits, its latency sample and the last-finish mark. The
+    /// accounting half of [`MeshNetwork::transfer`] and
+    /// [`MeshNetwork::transfer_packets`], which call it once per
+    /// transfer. A caller that already knows a transfer's timing
+    /// replays it with this alone; link occupancy is left as it was. A
+    /// transfer of zero hops (same node, or no bits) charges nothing.
+    pub fn account_transfer(&mut self, at: SimTime, transfer: &MeshTransfer, bits: u64) {
+        if transfer.hops == 0 {
+            return;
+        }
+        let hop_energy_j =
+            self.link_model.energy_joules(bits) + self.router_model.energy_joules(bits);
+        for _ in 0..transfer.hops {
+            self.energy_j += hop_energy_j;
+        }
+        self.bits_moved += bits;
+        self.latencies.record(transfer.finish.saturating_sub(at));
+        self.last_finish = self.last_finish.max(transfer.finish);
     }
 
     /// Broadcasts `bits` from `src` to every destination by replicated
@@ -219,24 +231,6 @@ impl MeshNetwork {
         let mut worst = at;
         for &d in dsts {
             let t = self.transfer(at, src, d, bits);
-            worst = worst.max(t.finish);
-        }
-        worst
-    }
-
-    /// Replicated-unicast broadcast under the per-packet discipline of
-    /// [`MeshNetwork::transfer_packets`]. Returns the worst finish time.
-    pub fn broadcast_packets(
-        &mut self,
-        at: SimTime,
-        src: Coord,
-        dsts: &[Coord],
-        bits: u64,
-        packet_bits: u64,
-    ) -> SimTime {
-        let mut worst = at;
-        for &d in dsts {
-            let t = self.transfer_packets(at, src, d, bits, packet_bits);
             worst = worst.max(t.finish);
         }
         worst

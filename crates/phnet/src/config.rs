@@ -104,32 +104,79 @@ impl PhnetConfig {
         mem + compute
     }
 
+    /// Checks internal consistency and names the first field no
+    /// hardware could implement (`wavelengths = 0: need at least one
+    /// wavelength`).
+    ///
+    /// # Errors
+    ///
+    /// The reason, naming the field and its value.
+    pub fn check(&self) -> Result<(), String> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        require(
+            self.compute_chiplets > 0,
+            "compute_chiplets",
+            self.compute_chiplets,
+            "need at least one compute chiplet",
+        )?;
+        require(
+            self.gateways_per_chiplet > 0,
+            "gateways_per_chiplet",
+            self.gateways_per_chiplet,
+            "need at least one gateway",
+        )?;
+        require(
+            self.memory_tx_gateways > 0,
+            "memory_tx_gateways",
+            self.memory_tx_gateways,
+            "need at least one memory gateway",
+        )?;
+        require(
+            self.wavelengths > 0,
+            "wavelengths",
+            self.wavelengths,
+            "need at least one wavelength",
+        )?;
+        require(
+            positive(self.rate_gbps),
+            "rate_gbps",
+            self.rate_gbps,
+            "rate not positive and finite",
+        )?;
+        require(
+            self.epoch_us > 0,
+            "epoch_us",
+            self.epoch_us,
+            "epoch not positive",
+        )?;
+        require(
+            positive(self.chiplet_pitch_mm),
+            "chiplet_pitch_mm",
+            self.chiplet_pitch_mm,
+            "pitch not positive and finite",
+        )
+    }
+
     /// Validates internal consistency.
     ///
     /// # Panics
     ///
     /// Panics on a configuration no hardware could implement (zero
-    /// counts, non-positive rates).
+    /// counts, non-positive rates), with the reason
+    /// [`PhnetConfig::check`] gives.
     pub fn validate(&self) {
-        assert!(
-            self.compute_chiplets > 0,
-            "need at least one compute chiplet"
-        );
-        assert!(self.gateways_per_chiplet > 0, "need at least one gateway");
-        assert!(
-            self.memory_tx_gateways > 0,
-            "need at least one memory gateway"
-        );
-        assert!(self.wavelengths > 0, "need at least one wavelength");
-        assert!(
-            self.rate_gbps > 0.0 && self.rate_gbps.is_finite(),
-            "rate must be positive"
-        );
-        assert!(self.epoch_us > 0, "epoch must be positive");
-        assert!(
-            self.chiplet_pitch_mm > 0.0 && self.chiplet_pitch_mm.is_finite(),
-            "pitch must be positive"
-        );
+        if let Err(reason) = self.check() {
+            panic!("{reason}");
+        }
+    }
+}
+
+/// `Ok` when `ok`, else the reason `field = value: what`.
+fn require(ok: bool, field: &str, value: impl std::fmt::Display, what: &str) -> Result<(), String> {
+    if ok {
+        Ok(())
+    } else {
+        Err(format!("{field} = {value}: {what}"))
     }
 }
 

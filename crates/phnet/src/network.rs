@@ -257,7 +257,7 @@ impl PhotonicInterposer {
             };
         }
         let grant = self.mem_tx.serve_striped(at, bits);
-        self.account_bits_read(bits);
+        self.account_unicast(bits);
         PhTransfer {
             start: grant.start,
             finish: grant.finish + self.overhead(),
@@ -275,9 +275,7 @@ impl PhotonicInterposer {
             };
         }
         let grant = self.mem_tx.serve(at, bits);
-        // Every chiplet's receiver burns O-E energy on the same stream.
-        self.bits_read += bits;
-        self.account_eo_oe(bits, self.cfg.compute_chiplets as u64);
+        self.account_broadcast(bits);
         PhTransfer {
             start: grant.start,
             finish: grant.finish + self.overhead(),
@@ -299,8 +297,7 @@ impl PhotonicInterposer {
             };
         }
         let grant = self.chiplet_tx[chiplet].serve_striped(at, bits);
-        self.bits_written += bits;
-        self.account_eo_oe(bits, 1);
+        self.account_write(bits);
         PhTransfer {
             start: grant.start,
             finish: grant.finish + self.overhead(),
@@ -319,9 +316,39 @@ impl PhotonicInterposer {
         self.chiplet_tx[chiplet].set_active(surviving.max(1));
     }
 
-    fn account_bits_read(&mut self, bits: u64) {
-        self.bits_read += bits;
+    /// Charges a unicast read of `bits` (its bits and EO/OE energy)
+    /// without occupying a lane: the accounting half of
+    /// [`PhotonicInterposer::read_unicast`], which calls it once per
+    /// transfer. A caller that already knows a transfer's timing
+    /// replays it with this alone; lane occupancy is left as it was. A
+    /// zero-bit transfer charges nothing, here and in
+    /// [`PhotonicInterposer::account_broadcast`] and
+    /// [`PhotonicInterposer::account_write`].
+    pub fn account_unicast(&mut self, bits: u64) {
+        self.account_read(bits, 1);
+    }
+
+    /// The accounting half of [`PhotonicInterposer::read_broadcast`]:
+    /// every chiplet's receiver burns O-E energy on the same stream.
+    pub fn account_broadcast(&mut self, bits: u64) {
+        self.account_read(bits, self.cfg.compute_chiplets as u64);
+    }
+
+    /// The accounting half of [`PhotonicInterposer::write`].
+    pub fn account_write(&mut self, bits: u64) {
+        if bits == 0 {
+            return;
+        }
+        self.bits_written += bits;
         self.account_eo_oe(bits, 1);
+    }
+
+    fn account_read(&mut self, bits: u64, receivers: u64) {
+        if bits == 0 {
+            return;
+        }
+        self.bits_read += bits;
+        self.account_eo_oe(bits, receivers);
     }
 
     fn account_eo_oe(&mut self, bits: u64, receivers: u64) {

@@ -254,6 +254,62 @@ fn flow_level_rejects_corrupt_platform_at_config_time() {
     assert!(simulate(&c).is_err());
 }
 
+/// Platform values that panicked inside a run before
+/// `PlatformConfig::validate` checked them, each with the field its
+/// rejection names.
+fn bad_platform_values() -> Vec<(&'static str, PlatformConfig)> {
+    let with = |field: &'static str, edit: fn(&mut PlatformConfig)| {
+        let mut c = PlatformConfig::paper_table1();
+        edit(&mut c);
+        (field, c)
+    };
+    vec![
+        with("hbm.channel_rate_gbps", |c| {
+            c.hbm.channel_rate_gbps = f64::NAN
+        }),
+        with("hbm.channel_rate_gbps", |c| c.hbm.channel_rate_gbps = 0.0),
+        with("hbm.channels", |c| c.hbm.channels = 0),
+        with("calibration.mac_rate_ghz", |c| {
+            c.calibration.mac_rate_ghz = 0.0
+        }),
+        with("calibration.comm_overlap_margin", |c| {
+            c.calibration.comm_overlap_margin = 0.0
+        }),
+        with("calibration.elec_packet_bits", |c| {
+            c.calibration.elec_packet_bits = 0
+        }),
+        with("phnet.rate_gbps", |c| c.phnet.rate_gbps = 0.0),
+        with("phnet.wavelengths", |c| c.phnet.wavelengths = 0),
+        with("phnet.epoch_us", |c| c.phnet.epoch_us = 0),
+        with("calibration.mono_mem_gbps", |c| {
+            c.calibration.mono_mem_gbps = f64::INFINITY
+        }),
+        with("calibration.hop_mm_2p5d", |c| {
+            c.calibration.hop_mm_2p5d = f64::NAN
+        }),
+    ]
+}
+
+/// Every bad platform value is a `BadConfig` naming its field, from
+/// `Runner::run` on every platform and from `build_profiles`, never a
+/// panic.
+#[test]
+fn bad_platform_values_are_errors_not_panics() {
+    const PLATFORMS: [Platform; 3] = [Platform::Siph2p5D, Platform::Elec2p5D, Platform::Monolithic];
+    for (field, platform_cfg) in bad_platform_values() {
+        let runner = Runner::new(platform_cfg.clone());
+        for platform in PLATFORMS {
+            let err = runner
+                .run(&platform, &zoo::lenet5())
+                .expect_err("a bad platform value must be rejected");
+            assert!(err.to_string().contains(field), "{platform}: {err}");
+            let serve = ServeConfig::new(platform_cfg.clone(), platform, lenet_mix(&[1000.0]));
+            let err = build_profiles(&serve).expect_err("a bad platform value must be rejected");
+            assert!(err.to_string().contains(field), "{platform}: {err}");
+        }
+    }
+}
+
 /// Seeded generator determinism: the closed-loop token generator is a
 /// pure function of its configuration — identical seeds give
 /// bit-identical reports (TTFT and per-token percentiles included),

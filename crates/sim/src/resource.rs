@@ -97,13 +97,22 @@ impl BandwidthServer {
         let dur = serialization_time(bits, self.rate_gbps());
         let finish = start + dur;
         self.busy_until = finish;
-        self.served_bits += bits;
         self.busy_ps += dur.as_ps();
+        self.account(bits);
         Grant {
             start,
             finish,
             queue_delay: start.saturating_sub(at),
         }
+    }
+
+    /// Counts `bits` as served without occupying the server: the
+    /// accounting half of [`BandwidthServer::serve`], which calls it
+    /// once per transfer. A caller that already knows a transfer's
+    /// timing replays it with this alone; the busy horizon and busy
+    /// time are left as they were.
+    pub fn account(&mut self, bits: u64) {
+        self.served_bits += bits;
     }
 
     /// Total bits served so far.
