@@ -1,9 +1,9 @@
 //! # lumos-bench — harnesses regenerating every table and figure
 //!
-//! Shared helpers for the binaries (`tables`, `fig7`, `breakdown`) and
-//! criterion benches that reproduce the paper's evaluation artifacts.
-//! See the experiment index in docs/ARCHITECTURE.md for what each
-//! harness regenerates.
+//! Shared helpers for the binaries (`tables`, `fig7`, `breakdown`,
+//! `ablations`) that reproduce the paper's evaluation artifacts. See
+//! the experiment index in docs/ARCHITECTURE.md for what each harness
+//! regenerates; `tests/goldens/` holds each binary's stdout.
 //!
 //! Evaluations run through the `lumos_dse` worker pool: every
 //! platform × model cell is independent, so the full Table 2 × platform
@@ -101,8 +101,8 @@ pub fn run_full_evaluation(cfg: &PlatformConfig) -> (Vec<Vec<RunReport>>, Vec<Pl
 }
 
 /// [`run_full_evaluation`] with an explicit worker count (0 = default,
-/// 1 = the sequential baseline the criterion benches compare against).
-pub fn run_full_evaluation_with(
+/// 1 = the sequential baseline).
+fn run_full_evaluation_with(
     cfg: &PlatformConfig,
     threads: usize,
 ) -> (Vec<Vec<RunReport>>, Vec<PlatformSummary>) {

@@ -4,8 +4,9 @@
 //! used in \[11\] and \[37\]" without publishing the constants. This module
 //! collects every tunable of our bottom-up reconstruction in one place,
 //! each with its literature provenance, so the Table 3 / Fig. 7
-//! calibration is auditable. EXPERIMENTS.md records the resulting
-//! paper-vs-measured deltas.
+//! calibration is auditable. The `tables` binary of `lumos-bench` prints
+//! the resulting Table 3 rows next to the paper's, and
+//! `tests/goldens/tables.txt` pins them.
 
 /// All device/system constants that are not part of the architectural
 /// Table 1 configuration.

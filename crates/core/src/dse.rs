@@ -35,11 +35,7 @@ use crate::runner::Runner;
 /// persisted caches from older layouts are invalidated wholesale.
 /// (v2: explicit softmax workloads + heterogeneous batched-GEMM
 /// placement changed every metric.)
-///
-/// Public so `lumos-bench` can stamp snapshot headers with the key
-/// schemas its numbers were produced under — the `--diff` gate refuses
-/// cross-schema comparisons.
-pub const KEY_SCHEMA: u64 = 2;
+const KEY_SCHEMA: u64 = 2;
 
 /// Seeds a hasher with the schema version and the crate version, so a
 /// release that changes simulator behavior invalidates persisted caches.

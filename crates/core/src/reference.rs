@@ -23,7 +23,8 @@ pub struct ReferencePlatform {
 }
 
 /// The paper's own values for its three simulated platforms (Table 3),
-/// kept for paper-vs-measured comparison in EXPERIMENTS.md.
+/// printed next to LUMOS's rows by the `tables` binary of `lumos-bench`
+/// (pinned by `tests/goldens/tables.txt`).
 pub const PAPER_SIMULATED: [ReferencePlatform; 3] = [
     ReferencePlatform {
         name: "CrossLight [21]",

@@ -100,6 +100,23 @@ fn infeasible_points_memoize_bit_identically_too() {
     }
 }
 
+/// An axis value past any buildable interposer is an infeasible point,
+/// not a panic that takes the sweep down: 2^20 wavelengths on a 0.8 nm
+/// grid would reach below 0 nm.
+#[test]
+fn oversized_axes_are_infeasible_points() {
+    let axes = DseAxes::from_slices(&[1 << 20], &[4], &[1.0]);
+    let (points, _) = dse::sweep_with(
+        &PlatformConfig::paper_table1(),
+        &axes,
+        &zoo::lenet5(),
+        0,
+        None,
+    );
+    assert_eq!(points.len(), 1);
+    assert!(!points[0].feasible, "{points:?}");
+}
+
 #[test]
 fn pareto_front_invariant_to_sweep_point_ordering() {
     let base = PlatformConfig::paper_table1();

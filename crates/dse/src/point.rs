@@ -96,8 +96,8 @@ impl DsePoint {
 
     /// Renders the point as one deterministic JSON object (fixed key
     /// order, shortest-roundtrip float formatting, non-finite metrics —
-    /// infeasible points — as `null`), the record shape the
-    /// `lumos-bench --json` perf snapshot archives.
+    /// infeasible points — as `null`), the record shape `lumos_perf`
+    /// digests.
     ///
     /// # Examples
     ///
@@ -156,9 +156,9 @@ impl DseAxes {
     /// Gateway axis of the `design_space` example grid.
     pub const EXAMPLE_GATEWAYS: &'static [usize] = &[1, 2, 4, 8];
 
-    /// Wavelength axis of the A1 ablation bench.
+    /// Wavelength axis of the A1 ablation (the `ablations` binary).
     pub const ABLATION_WAVELENGTHS: &'static [usize] = &[8, 16, 32, 48, 64];
-    /// Gateway axis of the A2 ablation bench.
+    /// Gateway axis of the A2 ablation (the `ablations` binary).
     pub const ABLATION_GATEWAYS: &'static [usize] = &[1, 2, 4, 6, 8];
 
     /// Builds axes from borrowed slices (the `const`-friendly form — the
@@ -171,8 +171,8 @@ impl DseAxes {
         }
     }
 
-    /// The sweep named by the paper's conclusion, shared by the
-    /// `design_space` example tests and ablation benches.
+    /// The sweep named by the paper's conclusion, shared by the DSE
+    /// engine tests and `lumos_perf`'s `eval_grid` workload.
     pub fn paper_conclusion() -> Self {
         Self::from_slices(
             Self::PAPER_WAVELENGTHS,
@@ -240,11 +240,6 @@ impl XformerAxes {
     /// Batch axis of the `transformers` example grid.
     pub const EXAMPLE_BATCHES: &'static [u32] = &[1, 8];
 
-    /// Sequence-length axis of the `transformer_sweep` bench grid.
-    pub const SWEEP_SEQ_LENS: &'static [u32] = &[64, 128, 256, 512];
-    /// Batch axis of the `transformer_sweep` bench grid.
-    pub const SWEEP_BATCHES: &'static [u32] = &[1, 8];
-
     /// Builds axes from borrowed slices (the `const`-friendly form).
     pub fn from_slices(seq_lens: &[u32], batches: &[u32]) -> Self {
         XformerAxes {
@@ -256,12 +251,6 @@ impl XformerAxes {
     /// The `transformers` example grid: 2 sequence lengths × 2 batches.
     pub fn example_grid() -> Self {
         Self::from_slices(Self::EXAMPLE_SEQ_LENS, Self::EXAMPLE_BATCHES)
-    }
-
-    /// The `transformer_sweep` bench grid: 4 sequence lengths × 2
-    /// batches.
-    pub fn bench_grid() -> Self {
-        Self::from_slices(Self::SWEEP_SEQ_LENS, Self::SWEEP_BATCHES)
     }
 
     /// Number of scenarios (the cartesian product of the axes).
@@ -307,11 +296,6 @@ impl DecodeAxes {
     /// Batch axis of the `decode` example grid.
     pub const EXAMPLE_BATCHES: &'static [u32] = &[1];
 
-    /// Cache-depth axis of the `decode_sweep` bench grid.
-    pub const SWEEP_CACHE_LENS: &'static [u32] = &[64, 256, 1024, 4096];
-    /// Batch axis of the `decode_sweep` bench grid.
-    pub const SWEEP_BATCHES: &'static [u32] = &[1, 8];
-
     /// Builds axes from borrowed slices (the `const`-friendly form).
     pub fn from_slices(cache_lens: &[u32], batches: &[u32]) -> Self {
         DecodeAxes {
@@ -323,11 +307,6 @@ impl DecodeAxes {
     /// The `decode` example grid: 3 cache depths at batch 1.
     pub fn example_grid() -> Self {
         Self::from_slices(Self::EXAMPLE_CACHE_LENS, Self::EXAMPLE_BATCHES)
-    }
-
-    /// The `decode_sweep` bench grid: 4 cache depths × 2 batches.
-    pub fn bench_grid() -> Self {
-        Self::from_slices(Self::SWEEP_CACHE_LENS, Self::SWEEP_BATCHES)
     }
 
     /// Number of scenarios (the cartesian product of the axes).
@@ -598,8 +577,6 @@ pub struct ServeAxes {
 impl ServeAxes {
     /// Load axis of the `serving` example grid.
     pub const EXAMPLE_LOADS: &'static [f64] = &[0.25, 0.5, 1.0, 2.0, 3.0];
-    /// Load axis of the `serving_sweep` bench grid.
-    pub const SWEEP_LOADS: &'static [f64] = &[0.5, 1.0, 2.0];
 
     /// Builds axes from borrowed slices (the `const`-friendly form).
     pub fn from_slices(load_scales: &[f64], policies: &[ServePolicy]) -> Self {
@@ -612,11 +589,6 @@ impl ServeAxes {
     /// The `serving` example grid: 5 load points under FIFO.
     pub fn example_grid() -> Self {
         Self::from_slices(Self::EXAMPLE_LOADS, &[ServePolicy::Fifo])
-    }
-
-    /// The `serving_sweep` bench grid: 3 load points × all 4 policies.
-    pub fn bench_grid() -> Self {
-        Self::from_slices(Self::SWEEP_LOADS, &ServePolicy::all())
     }
 
     /// Number of grid points (the cartesian product of the axes).
@@ -678,7 +650,6 @@ mod tests {
         assert_eq!(pts.len(), a.len());
         assert!(!a.is_empty());
         assert_eq!(XformerAxes::example_grid().len(), 4);
-        assert_eq!(XformerAxes::bench_grid().len(), 8);
     }
 
     #[test]
@@ -697,7 +668,6 @@ mod tests {
         assert_eq!(pts.len(), a.len());
         assert!(!a.is_empty());
         assert_eq!(ServeAxes::example_grid().len(), 5);
-        assert_eq!(ServeAxes::bench_grid().len(), 12);
     }
 
     #[test]
@@ -708,7 +678,6 @@ mod tests {
         assert_eq!(pts.len(), a.len());
         assert!(!a.is_empty());
         assert_eq!(DecodeAxes::example_grid().len(), 3);
-        assert_eq!(DecodeAxes::bench_grid().len(), 8);
         assert!(DecodeAxes::from_slices(&[], &[1]).is_empty());
     }
 

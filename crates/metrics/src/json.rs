@@ -1,6 +1,6 @@
 //! Byte-deterministic JSON fragment helpers shared by the metrics
-//! exporters and the downstream report/snapshot serializers
-//! (`ServeReport::to_json`, `DsePoint::to_json`, `lumos-bench --json`).
+//! exporters and the downstream report serializers
+//! (`ServeReport::to_json`, `DsePoint::to_json`).
 //!
 //! The rules mirror `lumos_trace`'s Chrome export: strings escape
 //! control characters, finite floats use Rust's deterministic

@@ -88,12 +88,12 @@ impl PhotonicInterposer {
     /// # Errors
     ///
     /// Returns a [`LinkError`] when the Table-1-style design point is not
-    /// optically feasible (crosstalk, detector bandwidth, or laser power
-    /// ceiling).
+    /// optically feasible (a channel grid that leaves the band, crosstalk,
+    /// detector bandwidth, or laser power ceiling).
     pub fn new(cfg: PhnetConfig) -> Result<Self, LinkError> {
         cfg.validate();
         let layout = InterposerLayout::from_config(&cfg);
-        let plan = ChannelPlan::dense(cfg.wavelengths);
+        let plan = ChannelPlan::dense(cfg.wavelengths)?;
         let modulator = Modulator::typical(cfg.modulation);
         let detector = Photodetector::typical();
         let laser = Laser::new(LaserPlacement::OffChip, cfg.wavelengths);

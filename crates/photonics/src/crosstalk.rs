@@ -31,9 +31,10 @@ pub struct CrosstalkReport {
 /// use lumos_photonics::crosstalk::filter_bank_crosstalk;
 /// use lumos_photonics::wdm::ChannelPlan;
 ///
-/// let tight = filter_bank_crosstalk(&ChannelPlan::new(16, 0.4), 8_000);
-/// let loose = filter_bank_crosstalk(&ChannelPlan::new(16, 1.6), 8_000);
+/// let tight = filter_bank_crosstalk(&ChannelPlan::new(16, 0.4)?, 8_000);
+/// let loose = filter_bank_crosstalk(&ChannelPlan::new(16, 1.6)?, 8_000);
 /// assert!(loose.sxr.value() > tight.sxr.value());
+/// # Ok::<(), lumos_photonics::link::LinkError>(())
 /// ```
 pub fn filter_bank_crosstalk(plan: &ChannelPlan, q_factor: u32) -> CrosstalkReport {
     let victim = plan.count() / 2; // centre channel sees the most neighbours
@@ -98,7 +99,9 @@ pub fn max_channels_for_sxr(
 ) -> usize {
     let mut best = 0;
     for n in 2..=cap {
-        let plan = ChannelPlan::new(n, spacing_nm);
+        let Ok(plan) = ChannelPlan::new(n, spacing_nm) else {
+            break;
+        };
         let rep = filter_bank_crosstalk(&plan, q_factor);
         if rep.sxr.value() >= min_sxr.value() {
             best = n;
@@ -126,28 +129,28 @@ mod tests {
 
     #[test]
     fn denser_spacing_more_crosstalk() {
-        let a = filter_bank_crosstalk(&ChannelPlan::new(32, 0.4), 8000);
-        let b = filter_bank_crosstalk(&ChannelPlan::new(32, 0.8), 8000);
+        let a = filter_bank_crosstalk(&ChannelPlan::new(32, 0.4).unwrap(), 8000);
+        let b = filter_bank_crosstalk(&ChannelPlan::new(32, 0.8).unwrap(), 8000);
         assert!(a.crosstalk_ratio > b.crosstalk_ratio);
     }
 
     #[test]
     fn higher_q_less_crosstalk() {
-        let lo = filter_bank_crosstalk(&ChannelPlan::dense(32), 2000);
-        let hi = filter_bank_crosstalk(&ChannelPlan::dense(32), 16_000);
+        let lo = filter_bank_crosstalk(&ChannelPlan::dense(32).unwrap(), 2000);
+        let hi = filter_bank_crosstalk(&ChannelPlan::dense(32).unwrap(), 16_000);
         assert!(hi.sxr.value() > lo.sxr.value());
     }
 
     #[test]
     fn more_channels_more_crosstalk() {
-        let few = filter_bank_crosstalk(&ChannelPlan::dense(4), 8000);
-        let many = filter_bank_crosstalk(&ChannelPlan::dense(64), 8000);
+        let few = filter_bank_crosstalk(&ChannelPlan::dense(4).unwrap(), 8000);
+        let many = filter_bank_crosstalk(&ChannelPlan::dense(64).unwrap(), 8000);
         assert!(many.crosstalk_ratio > few.crosstalk_ratio);
     }
 
     #[test]
     fn penalty_small_for_clean_links() {
-        let rep = filter_bank_crosstalk(&ChannelPlan::dense(64), 8000);
+        let rep = filter_bank_crosstalk(&ChannelPlan::dense(64).unwrap(), 8000);
         let p = crosstalk_power_penalty(&rep).expect("64ch @ Q=8000 is feasible");
         assert!(p.value() < 1.0, "penalty too high: {p}");
     }
@@ -174,7 +177,7 @@ mod tests {
         // 64 channels at 0.8 nm with a high-Q ring (Q=12k, as interposer
         // filter banks use) should clear 15 dB SXR: the paper's Table 1
         // design point must be physically sensible.
-        let rep = filter_bank_crosstalk(&ChannelPlan::dense(64), 12_000);
+        let rep = filter_bank_crosstalk(&ChannelPlan::dense(64).unwrap(), 12_000);
         assert!(rep.sxr.value() > 15.0, "Table 1 infeasible: {:?}", rep);
     }
 

@@ -39,6 +39,14 @@ pub enum LinkError {
         /// Detector 3 dB bandwidth, GHz.
         bandwidth_ghz: f64,
     },
+    /// The channel grid is so wide that its lowest channel would sit at
+    /// or below 0 nm.
+    OutOfBand {
+        /// Channels requested.
+        channels: usize,
+        /// Channel spacing, nm.
+        spacing_nm: f64,
+    },
 }
 
 impl fmt::Display for LinkError {
@@ -60,6 +68,13 @@ impl fmt::Display for LinkError {
             } => write!(
                 f,
                 "data rate {rate_gbps:.1} Gb/s exceeds detector bandwidth {bandwidth_ghz:.1} GHz"
+            ),
+            LinkError::OutOfBand {
+                channels,
+                spacing_nm,
+            } => write!(
+                f,
+                "{channels} channels at {spacing_nm} nm spacing around 1550 nm reach below 0 nm"
             ),
         }
     }
@@ -189,7 +204,7 @@ impl LinkDesign {
 /// * [`LinkError::CrosstalkSwamped`] if the filter bank's crosstalk cannot
 ///   be compensated by power.
 /// * [`LinkError::LaserLimited`] if the laser would need more than
-///   `max_laser_dbm` per wavelength.
+///   `max_laser_dbm` per wavelength, or a power beyond `f64` range.
 ///
 /// # Examples
 ///
@@ -203,7 +218,7 @@ impl LinkDesign {
 ///
 /// let design = solve_link(
 ///     &LinkBudget::new().stage("path", Decibels::new(8.0)),
-///     &ChannelPlan::dense(64),
+///     &ChannelPlan::dense(64)?,
 ///     12.0,
 ///     &Modulator::typical(ModulationFormat::Ook),
 ///     &Photodetector::typical(),
@@ -249,8 +264,15 @@ pub fn solve_link(
     let path = budget.total_loss() + budget.margin();
     let required_on_chip = OpticalPower::from_dbm(required_at_pd_dbm + path.value());
     // Laser coupling loss sits between the facet and the chip.
-    let required_at_laser =
-        OpticalPower::from_dbm(required_on_chip.as_dbm() + laser.coupling_loss.value());
+    let required_dbm = required_on_chip.as_dbm() + laser.coupling_loss.value();
+    // A path so lossy that the requirement overflows is over any limit.
+    if !required_dbm.is_finite() {
+        return Err(LinkError::LaserLimited {
+            required_dbm,
+            limit_dbm: max_laser_dbm,
+        });
+    }
+    let required_at_laser = OpticalPower::from_dbm(required_dbm);
 
     if required_at_laser.as_dbm() > max_laser_dbm {
         return Err(LinkError::LaserLimited {
@@ -293,7 +315,9 @@ pub fn max_feasible_wavelengths(
 ) -> Option<(usize, LinkDesign)> {
     let mut best = None;
     for n in 1..=cap {
-        let plan = ChannelPlan::new(n, spacing_nm);
+        let Ok(plan) = ChannelPlan::new(n, spacing_nm) else {
+            break;
+        };
         match solve_link(
             budget,
             &plan,
@@ -328,7 +352,7 @@ mod tests {
     #[test]
     fn lossier_path_needs_more_laser() {
         let (m, d, l) = defaults();
-        let plan = ChannelPlan::dense(16);
+        let plan = ChannelPlan::dense(16).unwrap();
         let lo = solve_link(
             &LinkBudget::new().stage("p", Decibels::new(5.0)),
             &plan,
@@ -363,7 +387,7 @@ mod tests {
         let (m, d, l) = defaults();
         let err = solve_link(
             &LinkBudget::new().stage("p", Decibels::new(40.0)),
-            &ChannelPlan::dense(16),
+            &ChannelPlan::dense(16).unwrap(),
             12.0,
             &m,
             &d,
@@ -384,7 +408,7 @@ mod tests {
         fast_mod.max_symbol_rate_gbaud = 100.0;
         let err = solve_link(
             &LinkBudget::new(),
-            &ChannelPlan::dense(4),
+            &ChannelPlan::dense(4).unwrap(),
             50.0,
             &fast_mod,
             &d,
@@ -402,7 +426,7 @@ mod tests {
         // Absurdly tight grid with low-Q rings.
         let err = solve_link(
             &LinkBudget::new(),
-            &ChannelPlan::new(64, 0.05),
+            &ChannelPlan::new(64, 0.05).unwrap(),
             12.0,
             &m,
             &d,
@@ -420,7 +444,7 @@ mod tests {
         let pam = Modulator::typical(ModulationFormat::Pam4);
         let design = solve_link(
             &LinkBudget::new().stage("p", Decibels::new(5.0)),
-            &ChannelPlan::dense(8),
+            &ChannelPlan::dense(8).unwrap(),
             24.0, // 12 GBaud × 2 bits
             &pam,
             &d,
@@ -468,7 +492,7 @@ mod tests {
         let (m, d, l) = defaults();
         let design = solve_link(
             &LinkBudget::new().stage("p", Decibels::new(10.0)),
-            &ChannelPlan::dense(64),
+            &ChannelPlan::dense(64).unwrap(),
             12.0,
             &m,
             &d,

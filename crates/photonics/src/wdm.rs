@@ -3,6 +3,7 @@
 //! A channel plan fixes how many wavelengths share a waveguide and at what
 //! spectral spacing — the paper's Table 1 uses 64 wavelengths per gateway.
 
+use crate::link::LinkError;
 use crate::units::Wavelength;
 
 /// A uniform WDM channel grid.
@@ -12,11 +13,12 @@ use crate::units::Wavelength;
 /// ```
 /// use lumos_photonics::wdm::ChannelPlan;
 ///
-/// let plan = ChannelPlan::dense(64);
+/// let plan = ChannelPlan::dense(64)?;
 /// assert_eq!(plan.count(), 64);
 /// assert!(plan.span_nm() < 52.0);
 /// let ch = plan.wavelength(0);
 /// assert!(ch.as_nm() > 1520.0 && ch.as_nm() < 1580.0);
+/// # Ok::<(), lumos_photonics::link::LinkError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelPlan {
@@ -28,31 +30,46 @@ pub struct ChannelPlan {
 impl ChannelPlan {
     /// A DWDM grid with 0.8 nm (~100 GHz) spacing centred on the C band.
     ///
+    /// # Errors
+    ///
+    /// As [`ChannelPlan::new`].
+    ///
     /// # Panics
     ///
     /// Panics if `count == 0`.
-    pub fn dense(count: usize) -> Self {
+    pub fn dense(count: usize) -> Result<Self, LinkError> {
         ChannelPlan::new(count, 0.8)
     }
 
     /// A grid with custom spacing, centred on the C band.
     ///
+    /// # Errors
+    ///
+    /// Returns [`LinkError::OutOfBand`] when the grid is so wide that
+    /// its lowest channel would sit at or below 0 nm.
+    ///
     /// # Panics
     ///
     /// Panics if `count == 0` or `spacing_nm` is not strictly positive.
-    pub fn new(count: usize, spacing_nm: f64) -> Self {
+    pub fn new(count: usize, spacing_nm: f64) -> Result<Self, LinkError> {
         assert!(count > 0, "channel plan needs at least one channel");
         assert!(
             spacing_nm.is_finite() && spacing_nm > 0.0,
             "spacing must be positive, got {spacing_nm}"
         );
         let span = spacing_nm * (count - 1) as f64;
+        if span / 2.0 >= Wavelength::C_BAND_CENTER.as_nm() {
+            return Err(LinkError::OutOfBand {
+                channels: count,
+                spacing_nm,
+            });
+        }
         let first = Wavelength::C_BAND_CENTER.offset_nm(-span / 2.0);
-        ChannelPlan {
+        Ok(ChannelPlan {
             first,
             spacing_nm,
             count,
-        }
+        })
     }
 
     /// Number of channels.
@@ -104,7 +121,7 @@ mod tests {
 
     #[test]
     fn grid_is_uniform_and_centred() {
-        let p = ChannelPlan::dense(8);
+        let p = ChannelPlan::dense(8).unwrap();
         let w: Vec<f64> = p.iter().map(|x| x.as_nm()).collect();
         for pair in w.windows(2) {
             assert!((pair[1] - pair[0] - 0.8).abs() < 1e-9);
@@ -115,7 +132,7 @@ mod tests {
 
     #[test]
     fn spacing_ghz_anchor() {
-        let p = ChannelPlan::dense(2);
+        let p = ChannelPlan::dense(2).unwrap();
         assert!(
             (p.spacing_ghz() - 99.8).abs() < 1.0,
             "got {}",
@@ -125,23 +142,37 @@ mod tests {
 
     #[test]
     fn fsr_check() {
-        let p = ChannelPlan::dense(16); // span 12 nm
+        let p = ChannelPlan::dense(16).unwrap(); // span 12 nm
         assert!(p.fits_fsr(18.0));
         assert!(!p.fits_fsr(10.0));
     }
 
     #[test]
     fn single_channel_plan() {
-        let p = ChannelPlan::dense(1);
+        let p = ChannelPlan::dense(1).unwrap();
         assert_eq!(p.count(), 1);
         assert_eq!(p.span_nm(), 0.0);
         assert!((p.wavelength(0).as_nm() - 1550.0).abs() < 1e-9);
     }
 
     #[test]
+    fn grid_below_zero_nm_is_an_error() {
+        // 3,875 channels at 0.8 nm put the first at 0.4 nm; one more
+        // would reach 0 nm.
+        assert!((ChannelPlan::dense(3_875).unwrap().wavelength(0).as_nm() - 0.4).abs() < 1e-9);
+        assert_eq!(
+            ChannelPlan::dense(3_876),
+            Err(LinkError::OutOfBand {
+                channels: 3_876,
+                spacing_nm: 0.8
+            })
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "out of range")]
     fn channel_index_bounds() {
-        let p = ChannelPlan::dense(4);
+        let p = ChannelPlan::dense(4).unwrap();
         let _ = p.wavelength(4);
     }
 }

@@ -91,7 +91,7 @@ proptest! {
     /// Link budgets: more loss can never reduce the required laser power.
     #[test]
     fn laser_power_monotone_in_loss(loss in 0.0f64..20.0, extra in 0.1f64..10.0) {
-        let plan = ChannelPlan::dense(16);
+        let plan = ChannelPlan::dense(16).unwrap();
         let m = Modulator::typical(ModulationFormat::Ook);
         let d = Photodetector::typical();
         let l = Laser::new(LaserPlacement::OffChip, 16);
@@ -112,16 +112,6 @@ proptest! {
         let a = SplitterTree::new(n).per_output_loss();
         let b = SplitterTree::new(n + 1).per_output_loss();
         prop_assert!(b.value() >= a.value() - 1e-12);
-    }
-
-    /// MZI cross+bar conserves power at any phase (up to insertion loss).
-    #[test]
-    fn mzi_conserves(phase in -10.0f64..10.0) {
-        let mut m = Mzi::typical();
-        m.set_phase(phase);
-        let total = m.cross_transmission() + m.bar_transmission();
-        prop_assert!(total <= 1.0 + 1e-12);
-        prop_assert!((total - Decibels::new(0.5).to_linear()).abs() < 1e-9);
     }
 
     /// Photodetector sensitivity is monotone in data rate.

@@ -20,8 +20,6 @@
 //!   (inferno/speedscope-compatible text)
 //! * [`series`] — peak-window extraction over `lumos_metrics`
 //!   snapshots (where did queue depth / batch occupancy spike)
-//! * [`diff`] — a perf-regression differ over two `lumos-bench --json`
-//!   snapshots with per-metric thresholds
 //!
 //! Everything here is *post-hoc* analysis over already-recorded data:
 //! profiling cannot perturb a simulation by construction, and every
@@ -49,15 +47,12 @@
 #![warn(missing_docs)]
 
 pub mod critical;
-pub mod diff;
 pub mod flame;
-mod jsonv;
 pub mod roofline;
 pub mod series;
 pub mod waterfall;
 
 pub use critical::{critical_path, request_paths, CriticalPath, PathSegment};
-pub use diff::{diff_snapshots, DiffError, DiffLine, DiffReport, Direction, Rule, Verdict};
 pub use flame::folded_stacks;
 pub use roofline::{Bound, Ceilings, OpProfile, Roofline, StageClass};
 pub use series::{peaks, Peak};

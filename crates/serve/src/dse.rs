@@ -34,11 +34,7 @@ use crate::sim::{simulate, simulate_with_profiles};
 /// discipline entered the key set; v3: the continuous-batching policy
 /// and each model's re-lowerable generator recipe entered it; v4: the
 /// bandwidth-contention kind — uniform vs flow-level — entered it.)
-///
-/// Public so `lumos-bench` can stamp snapshot headers with the key
-/// schemas its numbers were produced under — the `--diff` gate refuses
-/// cross-schema comparisons.
-pub const SERVE_KEY_SCHEMA: u64 = 4;
+const SERVE_KEY_SCHEMA: u64 = 4;
 
 /// Stable fingerprint of a model mix: every model's name, lowered
 /// workload stream, decode-step streams, generator recipe (when one is

@@ -229,8 +229,8 @@ impl ServeReport {
     /// Renders the full report as one deterministic JSON object: fixed
     /// key order, shortest-roundtrip float formatting, non-finite
     /// values as `null` — identical configurations give byte-identical
-    /// strings. This is the record shape the `lumos-bench --json` perf
-    /// snapshot archives.
+    /// strings. This is the record shape the serve goldens and
+    /// `lumos_perf` digest.
     pub fn to_json(&self) -> String {
         use lumos_metrics::json;
         let models: Vec<String> = self

@@ -12,7 +12,8 @@
 //! * SLO-pressure batching of a mixed generator + CNN load is pinned
 //!   against committed report goldens (stream order enters the
 //!   pressure-weight sums, so a scheduler that mis-orders its streams
-//!   drifts them);
+//!   drifts them), both from shared profiles and end to end through
+//!   `simulate`;
 //! * and the acceptance headline: at the same saturating offered load,
 //!   a GPT-2-small generator mix sustains strictly more tokens/sec
 //!   with continuous batching than per-stream decode on **both** 2.5D
@@ -28,7 +29,8 @@ use lumos_core::{Platform, PlatformConfig};
 use lumos_dnn::workload::Precision;
 use lumos_dse::{BatchPolicy, ServePolicy, SharePolicy, StableHasher};
 use lumos_serve::{
-    build_profiles, simulate_with_profiles, ServeConfig, ServeReport, ServedModel, ServiceProfiles,
+    build_profiles, simulate, simulate_with_profiles, ServeConfig, ServeReport, ServedModel,
+    ServiceProfiles,
 };
 use proptest::prelude::*;
 
@@ -311,5 +313,45 @@ fn slo_pressure_batching_matches_goldens() {
         drifted.is_empty(),
         "reports drifted from their goldens: {}",
         drifted.join(", ")
+    );
+}
+
+/// Digest of the report's JSON for [`lenet_gpt2_cfg`], recorded while
+/// the retired `lumos-bench --json` perf snapshot still simulated it.
+const LENET_GPT2_GOLDEN: u64 = 0x663f7439d30d0520;
+
+/// A tight-SLO LeNet5 stream beside a short GPT-2-small generator on
+/// SiPh, batched under `continuous(3)` with SLO-pressure weights, and
+/// run through `simulate` (which builds its own profiles).
+fn lenet_gpt2_cfg() -> ServeConfig {
+    let mix = vec![
+        ServedModel::cnn(&lumos_dnn::zoo::lenet5(), Precision::int8(), 600.0, 5.0),
+        ServedModel::generator(
+            &lumos_xformer::zoo::gpt2_small(),
+            32,
+            4,
+            1,
+            Precision::int8(),
+            120.0,
+            1_000.0,
+        ),
+    ];
+    ServeConfig::new(PlatformConfig::paper_table1(), Platform::Siph2p5D, mix)
+        .with_duration_s(0.05)
+        .with_seed(7)
+        .with_max_concurrency(4)
+        .with_batching(BatchPolicy::continuous(3))
+        .with_sharing(SharePolicy::SloPressure)
+}
+
+#[test]
+fn lenet_gpt2_slo_batching_matches_golden() {
+    let report = simulate(&lenet_gpt2_cfg()).expect("mix simulates");
+    let mut h = StableHasher::new();
+    h.write_str(&report.to_json());
+    let got = h.finish();
+    assert_eq!(
+        got, LENET_GPT2_GOLDEN,
+        "report drifted from its golden: {got:#018x}"
     );
 }

@@ -290,9 +290,22 @@ fn bad_platform_values() -> Vec<(&'static str, PlatformConfig)> {
     ]
 }
 
+/// Values that validate but leave no photonic design, with what their
+/// SiPh error says: the smallest wavelength count whose 0.8 nm grid
+/// reaches 0 nm, and the smallest gateway count whose laser requirement
+/// overflows.
+fn infeasible_siph_values() -> Vec<(&'static str, PlatformConfig)> {
+    let mut off_band = PlatformConfig::paper_table1();
+    off_band.phnet.wavelengths = 3_876;
+    let mut overflow = PlatformConfig::paper_table1();
+    overflow.phnet.gateways_per_chiplet = 3_845;
+    vec![("reach below 0 nm", off_band), ("exceeds limit", overflow)]
+}
+
 /// Every bad platform value is a `BadConfig` naming its field, from
 /// `Runner::run` on every platform and from `build_profiles`, never a
-/// panic.
+/// panic. Values that validate but leave no photonic design are SiPh
+/// infeasibility errors, not panics either.
 #[test]
 fn bad_platform_values_are_errors_not_panics() {
     const PLATFORMS: [Platform; 3] = [Platform::Siph2p5D, Platform::Elec2p5D, Platform::Monolithic];
@@ -307,6 +320,15 @@ fn bad_platform_values_are_errors_not_panics() {
             let err = build_profiles(&serve).expect_err("a bad platform value must be rejected");
             assert!(err.to_string().contains(field), "{platform}: {err}");
         }
+    }
+    for (reason, platform_cfg) in infeasible_siph_values() {
+        let err = Runner::new(platform_cfg.clone())
+            .run(&Platform::Siph2p5D, &zoo::lenet5())
+            .expect_err("no photonic design closes");
+        assert!(err.to_string().contains(reason), "{err}");
+        let serve = ServeConfig::new(platform_cfg, Platform::Siph2p5D, lenet_mix(&[1000.0]));
+        let err = build_profiles(&serve).expect_err("no photonic design closes");
+        assert!(err.to_string().contains(reason), "{err}");
     }
 }
 

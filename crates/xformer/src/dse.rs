@@ -23,11 +23,7 @@ use crate::ops::extract_transformer_workloads;
 /// Fingerprint-schema version for transformer scenarios: bump when the
 /// lowering in [`crate::ops`] changes so persisted caches from older
 /// decompositions are invalidated wholesale.
-///
-/// Public so `lumos-bench` can stamp snapshot headers with the key
-/// schemas its numbers were produced under — the `--diff` gate refuses
-/// cross-schema comparisons.
-pub const XFORMER_KEY_SCHEMA: u64 = 1;
+const XFORMER_KEY_SCHEMA: u64 = 1;
 
 /// Stable fingerprint of a transformer architecture: every field of
 /// [`TransformerConfig`].

@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let modulator = Modulator::typical(ModulationFormat::Ook);
     let detector = Photodetector::typical();
     let laser = Laser::new(LaserPlacement::OffChip, cfg.wavelengths);
-    let plan = ChannelPlan::dense(cfg.wavelengths);
+    let plan = ChannelPlan::dense(cfg.wavelengths)?;
 
     let design = solve_link(
         &layout.swmr_budget,

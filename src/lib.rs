@@ -26,8 +26,8 @@
 //!   Prometheus-text and JSON-lines exports
 //! * [`prof`] — the explanation layer over trace events and metric
 //!   series: critical paths with slack, roofline bound attribution,
-//!   per-request latency waterfalls, flamegraph export, and the
-//!   perf-snapshot differ behind `lumos-bench --diff`
+//!   per-request latency waterfalls, flamegraph export, and metric peak
+//!   windows
 //!
 //! # Examples
 //!
