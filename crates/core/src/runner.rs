@@ -16,6 +16,7 @@
 //!    streams (double buffering);
 //! 4. outputs stream back to memory (SWSR / mesh unicast).
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use lumos_dnn::workload::{extract_workloads, KernelClass};
@@ -58,8 +59,8 @@ pub struct Runner {
 
 /// The contention-independent half of a run ([`Runner::plan`]): one
 /// stream's workloads, borrowed, their grouping by shape, and the
-/// placement of each under the planning runner's configuration and
-/// [`PlacementPolicy`]. The plan borrows that runner too and always
+/// placement of each shape under the planning runner's configuration
+/// and [`PlacementPolicy`]. The plan borrows that runner too and always
 /// executes on it, so it cannot be paired with another stream or
 /// another configuration.
 #[derive(Debug)]
@@ -68,16 +69,51 @@ pub struct RunPlan<'a> {
     platform: Platform,
     model_name: &'a str,
     workloads: &'a [LayerWorkload],
-    placements: Vec<Placement>,
     /// Each workload's shape id, dense in order of first occurrence.
     shapes: Vec<usize>,
-    shape_count: usize,
+    /// Each shape's placement, by shape id.
+    placements: Vec<Placement>,
 }
 
 impl RunPlan<'_> {
-    /// Each workload's placement, in execution order.
-    pub fn placements(&self) -> &[Placement] {
-        &self.placements
+    /// Each workload's placement, in execution order. Repeats of a
+    /// shape yield its one placement again.
+    pub fn placements(&self) -> impl ExactSizeIterator<Item = &Placement> + '_ {
+        self.shapes.iter().map(|&shape| &self.placements[shape])
+    }
+
+    /// The plan's total latency under `contention`:
+    /// [`execute`](Self::execute)'s
+    /// [`total_latency`](RunReport::total_latency), bit for bit, without
+    /// the report.
+    ///
+    /// Without weight prefetch every link is idle when a layer starts
+    /// (see [`execute`](Self::execute)), so each layer adds
+    /// `stall + overhead + dur` to the clock. `dur`, from the layer's
+    /// start to its last stream's finish, depends only on its shape,
+    /// its placement and `contention`. `stall` is the photonic
+    /// interposer's reconfiguration stall
+    /// ([`PhotonicInterposer::switch_stall`]), a function of the
+    /// active set the previous layer left (the all-on boot set for the
+    /// first layer) and the one this layer's demand selects; each set
+    /// depends only on its layer's shape and `contention`, and the
+    /// stall is zero on the other platforms. So each distinct shape is
+    /// simulated once, in order of first occurrence, on one backend,
+    /// each starting where the previous one finished; the total is the
+    /// integer-picosecond sum over layers of `overhead + dur` plus every
+    /// transition's stall. Nothing is rounded, and no energy, report,
+    /// trace or metric is produced. A GPT-2 decode step's 124 layers
+    /// cost 11 shape simulations.
+    ///
+    /// With [`prefetch_weights`](crate::calibration::Calibration::prefetch_weights)
+    /// on, a layer's weights queue behind its predecessor's traffic, so
+    /// this is `execute(contention)?.total_latency`.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`execute`](Self::execute), for the same inputs.
+    pub fn latency(&self, contention: &ContentionModel) -> Result<SimTime, CoreError> {
+        self.runner.latency(self, contention)
     }
 
     /// Executes the plan under `contention` on the runner that made it:
@@ -229,6 +265,45 @@ impl LayerTimes {
             net_out_fin: self.net_out_fin + by,
         }
     }
+
+    /// When the layer's last stream, its write-back, finishes.
+    fn finish(&self) -> SimTime {
+        self.hbm_out_fin.max(self.net_out_fin)
+    }
+}
+
+/// A layer as its streams see it: the workload, the chiplets it is
+/// sharded over, and each chiplet's weight and output shard
+/// (output-channel partitioning).
+struct LayerIo<'w> {
+    w: &'w LayerWorkload,
+    chiplets: &'w [usize],
+    weight_shard: u64,
+    output_shard: u64,
+}
+
+impl<'w> LayerIo<'w> {
+    fn new(w: &'w LayerWorkload, placement: &'w Placement) -> Self {
+        let n_shards = placement.chiplets.len() as u64;
+        LayerIo {
+            w,
+            chiplets: &placement.chiplets,
+            weight_shard: w.weight_bits.div_ceil(n_shards),
+            output_shard: w.output_bits.div_ceil(n_shards),
+        }
+    }
+}
+
+/// One placement share as a layer runs it under a contention model.
+struct ShareSpan {
+    class: MacClass,
+    unit: MacUnit,
+    /// The class's units in the share, as the platform runs them.
+    units: usize,
+    /// The fraction of those units allocated to the stream.
+    alloc: f64,
+    /// The share's compute span, seconds.
+    secs: f64,
 }
 
 /// One mesh transfer a layer issued: issue instant, transfer, payload
@@ -296,8 +371,33 @@ enum Backend {
 }
 
 impl Backend {
-    /// Issues a layer's inbound streams: its weights, sharded over
-    /// `chiplets` and issued at `weight_issue`, and its input
+    /// Simulates a layer's streams: the inbound ones
+    /// ([`Backend::stream_in`]), compute overlapping them (double
+    /// buffering: it cannot finish before either the data or its
+    /// `compute_span` of passes from `start` do), and the write-back
+    /// at compute finish ([`Backend::stream_out`]).
+    fn simulate(
+        &mut self,
+        io: &LayerIo,
+        weight_issue: SimTime,
+        start: SimTime,
+        compute_span: SimTime,
+        mesh: &mut Vec<MeshSend>,
+    ) -> LayerTimes {
+        let (hbm_in_fin, net_in_fin) = self.stream_in(io, weight_issue, start, mesh);
+        let compute_fin = hbm_in_fin.max(net_in_fin).max(start + compute_span);
+        let (hbm_out_fin, net_out_fin) = self.stream_out(io, compute_fin, mesh);
+        LayerTimes {
+            hbm_in_fin,
+            net_in_fin,
+            compute_fin,
+            hbm_out_fin,
+            net_out_fin,
+        }
+    }
+
+    /// Issues a layer's inbound streams: its weights, sharded over its
+    /// chiplets and issued at `weight_issue`, and its input
     /// activations, broadcast to them at `start`. Returns when the HBM
     /// reads and when the fabric deliveries finish. The two link
     /// families finish independently (HBM channel vs. interposer/bus
@@ -305,13 +405,17 @@ impl Backend {
     /// transfers are logged to `mesh`.
     fn stream_in(
         &mut self,
-        w: &LayerWorkload,
-        chiplets: &[usize],
-        weight_shard: u64,
+        io: &LayerIo,
         weight_issue: SimTime,
         start: SimTime,
         mesh: &mut Vec<MeshSend>,
     ) -> (SimTime, SimTime) {
+        let LayerIo {
+            w,
+            chiplets,
+            weight_shard,
+            ..
+        } = *io;
         match self {
             Backend::Siph { net, hbm } => {
                 let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
@@ -359,17 +463,21 @@ impl Backend {
         }
     }
 
-    /// Issues a layer's write-back at `at`, one output shard per chiplet
-    /// of `chiplets`; returns when the HBM write and the fabric finish.
-    /// Mesh transfers are logged to `mesh`.
+    /// Issues a layer's write-back at `at`, one output shard per chiplet;
+    /// returns when the HBM write and the fabric finish. Mesh transfers
+    /// are logged to `mesh`.
     fn stream_out(
         &mut self,
-        w: &LayerWorkload,
-        chiplets: &[usize],
-        output_shard: u64,
+        io: &LayerIo,
         at: SimTime,
         mesh: &mut Vec<MeshSend>,
     ) -> (SimTime, SimTime) {
+        let LayerIo {
+            w,
+            chiplets,
+            output_shard,
+            ..
+        } = *io;
         match self {
             Backend::Siph { net, hbm } => {
                 let hbm_fin = hbm.write(at, w.output_bits).finish;
@@ -408,15 +516,13 @@ impl Backend {
     /// [`Backend::stream_out`] issue, in their order per accumulator,
     /// with `mesh` (the first occurrence's transfers) moved `shift`
     /// later.
-    fn replay(
-        &mut self,
-        w: &LayerWorkload,
-        chiplets: &[usize],
-        weight_shard: u64,
-        output_shard: u64,
-        mesh: &[MeshSend],
-        shift: SimTime,
-    ) {
+    fn replay(&mut self, io: &LayerIo, mesh: &[MeshSend], shift: SimTime) {
+        let LayerIo {
+            w,
+            chiplets,
+            weight_shard,
+            output_shard,
+        } = *io;
         match self {
             Backend::Siph { net, hbm } => {
                 hbm.account(w.weight_bits);
@@ -606,13 +712,13 @@ impl Runner {
     /// The contention-independent half of a run: validates the
     /// configuration, groups the workloads by shape (every
     /// [`LayerWorkload`] field but `name`) and places each distinct
-    /// shape once under the runner's [`PlacementPolicy`]; repeats share
-    /// their shape's placement. A GPT-2 decode step's 124 workloads
-    /// are 11 shapes, so it places 11 times. The grouping is also what
-    /// lets [`RunPlan::execute`] simulate each shape once. The plan
-    /// borrows this runner, `workloads` and the name, so
-    /// [`RunPlan::execute`] always runs it on this runner's
-    /// configuration and this stream.
+    /// shape once under the runner's [`PlacementPolicy`]; the plan holds
+    /// one placement per shape, which its repeats share. A GPT-2 decode
+    /// step's 124 workloads are 11 shapes, so it places 11 times. The
+    /// grouping is also what lets [`RunPlan::execute`] and
+    /// [`RunPlan::latency`] simulate each shape once. The plan borrows
+    /// this runner, `workloads` and the name, so it always runs on this
+    /// runner's configuration and this stream.
     ///
     /// # Errors
     ///
@@ -641,18 +747,17 @@ impl Runner {
         workloads: &'a [LayerWorkload],
     ) -> Result<RunPlan<'a>, CoreError> {
         self.cfg.validate()?;
-        // Each shape's id and first workload, by shape.
-        let mut firsts: HashMap<Shape, (usize, usize)> = HashMap::new();
+        let mut ids: HashMap<Shape, usize> = HashMap::new();
         let mut shapes = Vec::with_capacity(workloads.len());
-        let mut placements: Vec<Placement> = Vec::with_capacity(workloads.len());
-        for (i, w) in workloads.iter().enumerate() {
-            let next = (firsts.len(), i);
-            let (shape, first) = *firsts.entry(shape_of(w)).or_insert(next);
-            placements.push(if first == i {
-                place_with(&self.cfg, w, &self.placement)?
-            } else {
-                placements[first].clone()
-            });
+        let mut placements = Vec::new();
+        for w in workloads {
+            let shape = match ids.entry(shape_of(w)) {
+                Entry::Occupied(id) => *id.get(),
+                Entry::Vacant(slot) => {
+                    placements.push(place_with(&self.cfg, w, &self.placement)?);
+                    *slot.insert(placements.len() - 1)
+                }
+            };
             shapes.push(shape);
         }
         Ok(RunPlan {
@@ -660,10 +765,145 @@ impl Runner {
             platform: *platform,
             model_name,
             workloads,
-            placements,
             shapes,
-            shape_count: firsts.len(),
+            placements,
         })
+    }
+
+    /// `n` MAC units as `platform` runs them: monolithic CrossLight
+    /// scales every pool ([`Calibration::mono_units`]).
+    ///
+    /// [`Calibration::mono_units`]: crate::calibration::Calibration::mono_units
+    fn units_on(&self, platform: Platform, n: usize) -> usize {
+        if platform == Platform::Monolithic {
+            self.cfg.calibration.mono_units(n)
+        } else {
+            n
+        }
+    }
+
+    /// Each share of `placement` as it runs on `platform` under
+    /// `contention`. Every class runs its passes in parallel, so a
+    /// layer's compute span is its slowest share's (the
+    /// throughput-proportional GEMM split keeps the shares within one
+    /// pass of each other; single-share CNN layers reduce to the
+    /// one-class arithmetic exactly). Only `alloc` of the class's units
+    /// serve this stream, so the span dilates by `1/alloc` while the
+    /// unit-seconds (energy, idle correction) are invariant.
+    fn share_spans<'p>(
+        &'p self,
+        platform: Platform,
+        placement: &'p Placement,
+        contention: &'p ContentionModel,
+    ) -> impl Iterator<Item = ShareSpan> + 'p {
+        placement.shares.iter().map(move |share| {
+            let unit = MacUnit::new(share.class, &self.cfg.calibration);
+            let units = self.units_on(platform, share.units);
+            let alloc = contention.unit_share(share.class);
+            ShareSpan {
+                class: share.class,
+                secs: unit.compute_seconds(share.passes, units) / alloc,
+                unit,
+                units,
+                alloc,
+            }
+        })
+    }
+
+    /// The per-chiplet demand (bits/s) a layer announces to the
+    /// photonic interposer's ReSiPI controller, which reacts to the
+    /// traffic it observes per epoch. A layer whose stream exceeds what
+    /// one gateway can deliver in an epoch at the stream's bandwidth
+    /// share `bw_share` looks like a full-rate burst to the controller,
+    /// which keeps the chiplet's whole gateway complement active;
+    /// lighter layers are provisioned to finish within a margin of
+    /// their compute time (this is what deactivates gateways on small
+    /// models like LeNet5).
+    fn resipi_demand(&self, io: &LayerIo, compute_s: f64, bw_share: f64) -> Vec<f64> {
+        let phnet = &self.cfg.phnet;
+        let gw_bps = phnet.gateway_rate_gbps() * bw_share * 1e9;
+        let epoch_bits = gw_bps * phnet.epoch_us as f64 * 1e-6;
+        let burst_bps = phnet.gateways_per_chiplet as f64 * gw_bps;
+        let est = (compute_s * self.cfg.calibration.comm_overlap_margin).max(1e-6);
+        let layer_bits = io.weight_shard + io.w.input_bits + io.output_shard;
+        let mut demand = vec![0.0; self.cfg.compute_chiplets()];
+        for &c in io.chiplets {
+            demand[c] = if layer_bits as f64 >= epoch_bits {
+                burst_bps
+            } else {
+                layer_bits as f64 / est
+            };
+        }
+        demand
+    }
+
+    /// [`RunPlan::latency`]: `plan` was made by this runner.
+    fn latency(
+        &self,
+        plan: &RunPlan<'_>,
+        contention: &ContentionModel,
+    ) -> Result<SimTime, CoreError> {
+        if self.cfg.calibration.prefetch_weights {
+            return Ok(self.execute(plan, contention)?.total_latency);
+        }
+        contention.validate()?;
+        let platform = plan.platform;
+        let bw_share = contention.bandwidth_share();
+        let mut backend = self.build_backend(&platform, contention)?;
+        let overhead = SimTime::from_ns(self.cfg.calibration.layer_overhead_ns);
+        // The interposer's active set before the first layer: all on.
+        let boot = match &backend {
+            Backend::Siph { net, .. } => Some(net.active_set().clone()),
+            _ => None,
+        };
+
+        // Each shape's duration, start to last finish, and (photonic
+        // interposer) the active set it runs on, by shape id. Shapes
+        // are simulated at their first occurrence, one after another on
+        // idle links, so each starts after its predecessor's finish and
+        // reconfiguration stall, as in a run.
+        let mut durs: Vec<SimTime> = Vec::with_capacity(plan.placements.len());
+        let mut sets = Vec::new();
+        let mut mesh = Vec::new();
+        let mut t = SimTime::ZERO;
+        for (w, &shape) in plan.workloads.iter().zip(&plan.shapes) {
+            if shape < durs.len() {
+                continue;
+            }
+            let placement = &plan.placements[shape];
+            let io = LayerIo::new(w, placement);
+            let compute_s = self
+                .share_spans(platform, placement, contention)
+                .fold(0.0f64, |slowest, share| slowest.max(share.secs));
+            let stall = match &mut backend {
+                Backend::Siph { net, .. } => {
+                    let stall = net.reconfigure(t, &self.resipi_demand(&io, compute_s, bw_share));
+                    sets.push(net.active_set().clone());
+                    stall
+                }
+                _ => SimTime::ZERO,
+            };
+            let start = t + stall + overhead;
+            mesh.clear();
+            let compute_span = SimTime::from_secs_f64(compute_s);
+            t = backend
+                .simulate(&io, start, start, compute_span, &mut mesh)
+                .finish();
+            durs.push(t - start);
+        }
+
+        let mut total = SimTime::ZERO;
+        for &shape in &plan.shapes {
+            total += overhead + durs[shape];
+        }
+        if let (Backend::Siph { net, .. }, Some(boot)) = (&backend, &boot) {
+            let mut from = boot;
+            for &shape in &plan.shapes {
+                total += net.switch_stall(from, &sets[shape]);
+                from = &sets[shape];
+            }
+        }
+        Ok(total)
     }
 
     /// [`RunPlan::execute`]: `plan` was made by this runner.
@@ -692,20 +932,11 @@ impl Runner {
             self.tracer.name_thread(trace_pid, TID_NET, net_cat);
         }
 
-        // Unit models and per-class unit counts (scaled for monolithic).
-        let scale = |n: usize| -> usize {
-            if matches!(platform, Platform::Monolithic) {
-                calib.mono_units(n)
-            } else {
-                n
-            }
-        };
-
         let meter = if self.metrics.enabled() {
             let net_link = &net_cat["link:".len()..];
             let class_units: Vec<(MacClass, usize)> = MacClass::all()
                 .iter()
-                .map(|&c| (c, scale(self.cfg.class(c).total_units())))
+                .map(|&c| (c, self.units_on(*platform, self.cfg.class(c).total_units())))
                 .collect();
             Some(RunMeter::new(
                 &self.metrics,
@@ -732,70 +963,38 @@ impl Runner {
         let mut memo: Vec<Option<Simulated>> = if calib.prefetch_weights {
             Vec::new()
         } else {
-            vec![None; plan.shape_count]
+            vec![None; plan.placements.len()]
         };
 
-        for ((w, placement), &shape) in plan
-            .workloads
-            .iter()
-            .zip(&plan.placements)
-            .zip(&plan.shapes)
-        {
-            // Per-share compute: every class runs its passes in
-            // parallel; the layer's compute span is the slowest share
-            // (the throughput-proportional GEMM split keeps the shares
-            // within one pass of each other). Single-share CNN layers
-            // reduce to the one-class arithmetic exactly.
+        for (w, &shape) in plan.workloads.iter().zip(&plan.shapes) {
+            let placement = &plan.placements[shape];
             let mut compute_s = 0.0f64;
             let mut layer_mac_j = 0.0f64;
             let mut share_samples: Vec<(MacClass, f64, f64)> = Vec::new();
-            for share in &placement.shares {
-                let unit = MacUnit::new(share.class, calib);
-                let units = scale(share.units);
-                // Contention: only `alloc` of the class's units serve
-                // this stream, so the span dilates by 1/alloc while the
-                // unit-seconds (energy, idle correction) are invariant.
-                let alloc = contention.unit_share(share.class);
-                let share_s = unit.compute_seconds(share.passes, units) / alloc;
-                compute_s = compute_s.max(share_s);
-                let share_j = unit.active_energy_j(units, share_s) * alloc;
+            for share in self.share_spans(*platform, placement, contention) {
+                let ShareSpan {
+                    class,
+                    unit,
+                    units,
+                    alloc,
+                    secs,
+                } = share;
+                compute_s = compute_s.max(secs);
+                let share_j = unit.active_energy_j(units, secs) * alloc;
                 mac_active_j += share_j;
                 layer_mac_j += share_j;
-                active_idle_correction_j += unit.idle_power_w() * units as f64 * alloc * share_s;
+                active_idle_correction_j += unit.idle_power_w() * units as f64 * alloc * secs;
                 if meter.is_some() {
-                    share_samples.push((share.class, share_s, units as f64 * alloc));
+                    share_samples.push((class, secs, units as f64 * alloc));
                 }
             }
-            let n_shards = placement.chiplets.len() as u64;
-            let weight_shard = w.weight_bits.div_ceil(n_shards);
-            let output_shard = w.output_bits.div_ceil(n_shards);
+            let io = LayerIo::new(w, placement);
 
             // Reconfiguration (photonic platform only): announce this
             // layer's demand so the ReSiPI controller can scale gateways.
             let start = match &mut backend {
                 Backend::Siph { net, .. } => {
-                    // ReSiPI reacts to the traffic it observes per epoch.
-                    // A layer whose stream exceeds what one gateway can
-                    // deliver in an epoch looks like a full-rate burst to
-                    // the controller, which keeps the chiplet's whole
-                    // gateway complement active; lighter layers are
-                    // provisioned to finish within a margin of their
-                    // compute time (this is what deactivates gateways on
-                    // small models like LeNet5).
-                    let gw_bps = self.cfg.phnet.gateway_rate_gbps() * bw_share * 1e9;
-                    let epoch_bits = gw_bps * self.cfg.phnet.epoch_us as f64 * 1e-6;
-                    let burst_bps = self.cfg.phnet.gateways_per_chiplet as f64 * gw_bps;
-                    let est = (compute_s * calib.comm_overlap_margin).max(1e-6);
-                    let mut demand = vec![0.0; self.cfg.compute_chiplets()];
-                    for &c in &placement.chiplets {
-                        let layer_bits = weight_shard + w.input_bits + output_shard;
-                        demand[c] = if layer_bits as f64 >= epoch_bits {
-                            burst_bps
-                        } else {
-                            layer_bits as f64 / est
-                        };
-                    }
-                    let stall = net.reconfigure(t, &demand);
+                    let stall = net.reconfigure(t, &self.resipi_demand(&io, compute_s, bw_share));
                     t + stall + overhead
                 }
                 _ => t + overhead,
@@ -809,38 +1008,17 @@ impl Runner {
             };
             prev_start = Some(start);
             let compute_span = SimTime::from_secs_f64(compute_s);
-            let chiplets = &placement.chiplets;
             let times = match memo.get(shape) {
                 Some(Some(first)) => {
                     // A repeat over idle links: the first occurrence's
                     // timing, moved to this start, and its accounting.
                     let shift = start - first.start;
-                    backend.replay(w, chiplets, weight_shard, output_shard, &first.mesh, shift);
+                    backend.replay(&io, &first.mesh, shift);
                     first.times.shifted(shift)
                 }
                 _ => {
                     let mut mesh = Vec::new();
-                    let (hbm_in_fin, net_in_fin) = backend.stream_in(
-                        w,
-                        chiplets,
-                        weight_shard,
-                        weight_issue,
-                        start,
-                        &mut mesh,
-                    );
-                    // Compute overlaps the inbound stream (double
-                    // buffering): it cannot finish before either the
-                    // data or the passes do.
-                    let compute_fin = hbm_in_fin.max(net_in_fin).max(start + compute_span);
-                    let (hbm_out_fin, net_out_fin) =
-                        backend.stream_out(w, chiplets, output_shard, compute_fin, &mut mesh);
-                    let times = LayerTimes {
-                        hbm_in_fin,
-                        net_in_fin,
-                        compute_fin,
-                        hbm_out_fin,
-                        net_out_fin,
-                    };
+                    let times = backend.simulate(&io, weight_issue, start, compute_span, &mut mesh);
                     if let Some(slot) = memo.get_mut(shape) {
                         *slot = Some(Simulated { start, times, mesh });
                     }
@@ -855,7 +1033,7 @@ impl Runner {
                 net_out_fin,
             } = times;
             let comm_in_fin = hbm_in_fin.max(net_in_fin);
-            let layer_fin = hbm_out_fin.max(net_out_fin);
+            let layer_fin = times.finish();
 
             bits_moved += w.total_bits();
 
@@ -986,7 +1164,8 @@ impl Runner {
             .iter()
             .map(|&c| {
                 let unit = MacUnit::new(c, calib);
-                unit.idle_power_w() * scale(self.cfg.class(c).total_units()) as f64
+                unit.idle_power_w()
+                    * self.units_on(*platform, self.cfg.class(c).total_units()) as f64
             })
             .sum();
         let mac_idle_j = (idle_power_total * total_s - active_idle_correction_j).max(0.0);

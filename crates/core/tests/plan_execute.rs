@@ -8,6 +8,10 @@
 //! and flow-level contention, with unrestricted and pinned placement.
 //! Digests of the same grid are pinned against the runner as it was
 //! before the split, so the two halves cannot drift together.
+//! `RunPlan::latency`, the closed-form total, must equal the executed
+//! report's total latency to the picosecond over the same grid, under
+//! every interposer policy and with weight prefetch, and fail where
+//! execution fails, with the same error.
 
 use std::hash::Hasher;
 
@@ -18,6 +22,7 @@ use lumos_core::mapper::PlacementPolicy;
 use lumos_core::{MacClass, Platform, PlatformConfig, RunReport, Runner};
 use lumos_dnn::workload::{extract_workloads, KernelClass, LayerWorkload};
 use lumos_dnn::zoo;
+use lumos_phnet::controller::ReconfigPolicy;
 
 const PLATFORMS: [Platform; 3] = [Platform::Siph2p5D, Platform::Elec2p5D, Platform::Monolithic];
 
@@ -146,7 +151,8 @@ fn pinned_plans_place_on_the_pinned_chiplets() {
             .plan(&Platform::Elec2p5D, "lenet5", &work)
             .expect("lenet5 plans")
             .placements()
-            .to_vec()
+            .cloned()
+            .collect::<Vec<_>>()
     };
     let (free, pinned) = (plan_with(free), plan_with(pinned));
     // LeNet5's second layer is a 5×5 conv: Conv5 chiplets 3 and 4
@@ -211,6 +217,83 @@ fn a_plan_executes_on_the_runner_that_made_it() {
             assert_bitwise(&wide, &fresh(&wide_runner), &what);
             let compute_s = |r: &RunReport| r.layers.iter().map(|l| l.compute_s).sum::<f64>();
             assert!(compute_s(&wide) < compute_s(&narrow), "{what}");
+        }
+    }
+}
+
+/// Table 1 under each interposer policy, with twice the MAC units per
+/// chiplet, with weight prefetch (where `latency` executes), and with
+/// a laser ceiling no photonic link budget closes under (planning
+/// succeeds; the photonic interposer fails at execution).
+fn latency_configs() -> Vec<(String, PlatformConfig)> {
+    let table1 = PlatformConfig::paper_table1();
+    let mut configs: Vec<(String, PlatformConfig)> = [
+        ReconfigPolicy::ResipiGateways,
+        ReconfigPolicy::ProwavesWavelengths,
+        ReconfigPolicy::StaticFull,
+        ReconfigPolicy::StaticMin,
+    ]
+    .into_iter()
+    .map(|policy| {
+        let mut cfg = table1.clone();
+        cfg.phnet.policy = policy;
+        (format!("{policy:?}"), cfg)
+    })
+    .collect();
+    let mut wide = table1.clone();
+    for class in [
+        &mut wide.dense,
+        &mut wide.conv7,
+        &mut wide.conv5,
+        &mut wide.conv3,
+    ] {
+        class.macs_per_chiplet *= 2;
+    }
+    configs.push(("wide".into(), wide));
+    let mut prefetch = table1.clone();
+    prefetch.calibration.prefetch_weights = true;
+    configs.push(("prefetch".into(), prefetch));
+    let mut infeasible = table1;
+    infeasible.phnet.max_laser_dbm = -20.0;
+    configs.push(("infeasible".into(), infeasible));
+    configs
+}
+
+/// [`streams`], plus both of them twice over in one stream: every
+/// shape repeats, with a transition between every two.
+fn latency_streams(cfg: &PlatformConfig) -> Vec<(&'static str, Vec<LayerWorkload>)> {
+    let mut all = streams(cfg);
+    let twice: Vec<LayerWorkload> = all
+        .iter()
+        .chain(&all)
+        .flat_map(|(_, work)| work.iter().cloned())
+        .collect();
+    all.push(("both twice", twice));
+    all
+}
+
+#[test]
+fn latency_is_the_executed_total_latency_bitwise() {
+    let zero = ContentionModel::uniform(0.0);
+    for (config, cfg) in latency_configs() {
+        let infeasible_on = |p: Platform| config == "infeasible" && p == Platform::Siph2p5D;
+        for policy in policies() {
+            let runner = Runner::new(cfg.clone()).with_placement(policy.clone());
+            for platform in PLATFORMS {
+                let contentions = contentions(&cfg, platform);
+                for (name, work) in latency_streams(&cfg) {
+                    let plan = runner.plan(&platform, name, &work).expect("stream plans");
+                    for (i, c) in contentions.iter().chain([&zero]).enumerate() {
+                        let what = format!("{config} {platform:?} {name} #{i} {policy:?}");
+                        let executed = plan.execute(c).map(|r| r.total_latency);
+                        assert_eq!(plan.latency(c), executed, "{what}");
+                        // Both fail, with the same error, exactly where
+                        // execution must.
+                        let fails = c == &zero || infeasible_on(platform);
+                        assert_eq!(executed.is_err(), fails, "{what}");
+                    }
+                }
+            }
         }
     }
 }

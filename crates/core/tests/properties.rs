@@ -1,7 +1,8 @@
 //! Property-based tests of the platform runner on randomly generated
 //! (but valid) convolutional models.
 
-use lumos_core::{ContentionModel, Platform, PlatformConfig, Runner};
+use lumos_core::mapper::PlacementPolicy;
+use lumos_core::{ContentionModel, MacClass, Platform, PlatformConfig, Runner};
 use lumos_dnn::workload::{extract_workloads, LayerWorkload};
 use lumos_dnn::{Layer, Model, Padding, TensorShape};
 use lumos_phnet::controller::ReconfigPolicy;
@@ -177,6 +178,74 @@ proptest! {
                 with.total_latency <= without.total_latency,
                 "{platform}: prefetch regressed"
             );
+        }
+    }
+}
+
+proptest! {
+    // The default config, so `PROPTEST_CASES` scales this property.
+
+    /// `RunPlan::latency` is the executed total latency to the
+    /// picosecond on random streams of repeated layers, on every
+    /// platform under every interposer policy, with free and pinned
+    /// placement, at skewed compute and bandwidth shares. That includes
+    /// the photonic interposer under ReSiPI and `StaticMin`, where a
+    /// layer's reconfiguration stall depends on the set its predecessor
+    /// left, so the total is not additive over layers, only over shapes
+    /// and shape transitions.
+    #[test]
+    fn closed_form_latency_is_exact(
+        model in random_cnn(),
+        picks in proptest::collection::vec(0usize..64, 1..16),
+        compute_share in 0.02f64..1.0,
+        conv3_share in 0.02f64..1.0,
+        bandwidth_share in 0.02f64..1.0,
+        uncontended in prop::bool::ANY,
+    ) {
+        let base = PlatformConfig::paper_table1();
+        let layers = extract_workloads(&model, base.precision);
+        let stream: Vec<LayerWorkload> = picks
+            .iter()
+            .map(|&i| layers[i % layers.len()].clone())
+            .collect();
+        let contention = if uncontended {
+            ContentionModel::uncontended()
+        } else {
+            ContentionModel::uniform(compute_share)
+                .with_unit_share(MacClass::Conv3, conv3_share)
+                .with_bandwidth_share(bandwidth_share)
+        };
+        let placements = [
+            PlacementPolicy::unrestricted(),
+            PlacementPolicy::unrestricted()
+                .pin(MacClass::Conv5, vec![3])
+                .pin(MacClass::Dense100, vec![0]),
+        ];
+        for policy in [
+            ReconfigPolicy::ResipiGateways,
+            ReconfigPolicy::ProwavesWavelengths,
+            ReconfigPolicy::StaticFull,
+            ReconfigPolicy::StaticMin,
+        ] {
+            let mut cfg = base.clone();
+            cfg.phnet.policy = policy;
+            for placement in &placements {
+                let runner = Runner::new(cfg.clone()).with_placement(placement.clone());
+                for platform in Platform::all() {
+                    let plan = runner
+                        .plan(&platform, "stream", &stream)
+                        .expect("valid stream plans");
+                    let executed = plan.execute(&contention).expect("valid stream runs");
+                    prop_assert_eq!(
+                        plan.latency(&contention),
+                        Ok(executed.total_latency),
+                        "{} {:?} {:?}",
+                        platform,
+                        policy,
+                        placement
+                    );
+                }
+            }
         }
     }
 }

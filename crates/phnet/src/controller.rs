@@ -203,41 +203,39 @@ impl EpochController {
         gateway_gbps / self.wavelengths as f64
     }
 
-    /// Applies `target`, returning the switching cost. Gateway-count
-    /// changes rewrite one PCM coupler per gateway toggled (the tap
-    /// fractions of the remaining chain also shift, but those writes
-    /// overlap the same transition window); the stall is one PCM write
-    /// latency when anything changed.
+    /// The cost of switching from `from` to `to`, a pure function of
+    /// the two sets. Gateway-count changes rewrite one PCM coupler per
+    /// gateway toggled (the tap fractions of the remaining chain also
+    /// shift, but those writes overlap the same transition window); the
+    /// stall is one PCM write latency when any coupler is rewritten.
+    /// Wavelength-only changes (PROWAVES) and no change cost nothing.
+    pub fn switch_cost(&self, from: &ActiveSet, to: &ActiveSet) -> ReconfigCost {
+        let mut toggles = to.memory_gateways.abs_diff(from.memory_gateways);
+        for (new, old) in to
+            .gateways_per_chiplet
+            .iter()
+            .zip(&from.gateways_per_chiplet)
+        {
+            toggles += new.abs_diff(*old);
+        }
+        // The laser bank gates wavelengths electronically: no PCM write.
+        if toggles == 0 {
+            return ReconfigCost::default();
+        }
+        ReconfigCost {
+            energy_j: self.pcmc.write_energy_nj * 1e-9 * toggles as f64,
+            latency_ns: self.pcmc.write_latency_ns,
+            pcmc_writes: toggles,
+        }
+    }
+
+    /// Applies `target`, returning the switching cost
+    /// ([`EpochController::switch_cost`] from the current set).
     fn apply(&mut self, target: ActiveSet) -> ReconfigCost {
         if target == self.current {
             return ReconfigCost::default();
         }
-        let mut toggles = 0usize;
-        for (new, old) in target
-            .gateways_per_chiplet
-            .iter()
-            .zip(&self.current.gateways_per_chiplet)
-        {
-            toggles += new.abs_diff(*old);
-        }
-        toggles += target
-            .memory_gateways
-            .abs_diff(self.current.memory_gateways);
-        // Wavelength-only changes (PROWAVES) need no PCM writes: the
-        // laser bank gates channels electronically.
-        let cost = if toggles > 0 {
-            ReconfigCost {
-                energy_j: self.pcmc.write_energy_nj * 1e-9 * toggles as f64,
-                latency_ns: self.pcmc.write_latency_ns,
-                pcmc_writes: toggles,
-            }
-        } else {
-            ReconfigCost {
-                energy_j: 0.0,
-                latency_ns: 0.0,
-                pcmc_writes: 0,
-            }
-        };
+        let cost = self.switch_cost(&self.current, &target);
         self.total_cost.energy_j += cost.energy_j;
         self.total_cost.latency_ns += cost.latency_ns;
         self.total_cost.pcmc_writes += cost.pcmc_writes;

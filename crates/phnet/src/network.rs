@@ -223,6 +223,16 @@ impl PhotonicInterposer {
         self.apply_set(at, &set, &cost)
     }
 
+    /// The stall a switch from active set `from` to `to` costs: what
+    /// [`PhotonicInterposer::reconfigure`] returns when it moves the
+    /// interposer from `from` to `to`, computed without moving it. A
+    /// pure function of the two sets
+    /// ([`EpochController::switch_cost`]), zero when no PCM coupler is
+    /// rewritten.
+    pub fn switch_stall(&self, from: &ActiveSet, to: &ActiveSet) -> SimTime {
+        stall_of(&self.controller.switch_cost(from, to))
+    }
+
     fn apply_set(&mut self, at: SimTime, set: &ActiveSet, cost: &ReconfigCost) -> SimTime {
         let lambda_rate = set.wavelengths as f64 * self.cfg.rate_gbps;
         self.mem_tx.set_active(set.memory_gateways);
@@ -233,7 +243,7 @@ impl PhotonicInterposer {
         }
         self.reconfig_energy_j += cost.energy_j;
         self.reconfig_stall_ns += cost.latency_ns;
-        let stall = SimTime::from_ps((cost.latency_ns * 1e3).round() as u64);
+        let stall = stall_of(cost);
         let when = at + stall;
         let p = self.static_power_of(set);
         self.idle_power.set(when, p);
@@ -380,6 +390,11 @@ impl PhotonicInterposer {
     }
 }
 
+/// A reconfiguration's stall on the picosecond clock.
+fn stall_of(cost: &ReconfigCost) -> SimTime {
+    SimTime::from_ps((cost.latency_ns * 1e3).round() as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,6 +457,31 @@ mod tests {
             low < full / 2.0,
             "idle power should collapse: {low} vs {full}"
         );
+    }
+
+    #[test]
+    fn switch_stall_is_the_reconfiguration_stall() {
+        for policy in [
+            ReconfigPolicy::ResipiGateways,
+            ReconfigPolicy::ProwavesWavelengths,
+            ReconfigPolicy::StaticFull,
+            ReconfigPolicy::StaticMin,
+        ] {
+            let mut cfg = PhnetConfig::paper_table1();
+            cfg.policy = policy;
+            let mut n = PhotonicInterposer::new(cfg).expect("Table 1 point is feasible");
+            let demands = [[0.0; 8], [1e9; 8], [1e13; 8], [1e13; 8], [0.0; 8]];
+            for (i, demand) in demands.iter().enumerate() {
+                let before = n.active_set().clone();
+                let stall = n.reconfigure(SimTime::from_us(i as u64), demand);
+                assert_eq!(
+                    stall,
+                    n.switch_stall(&before, n.active_set()),
+                    "{policy:?} #{i}"
+                );
+                assert_eq!(n.switch_stall(&before, &before), SimTime::ZERO);
+            }
+        }
     }
 
     #[test]

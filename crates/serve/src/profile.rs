@@ -8,10 +8,20 @@
 //! re-simulating a stream every time the residency changes, the
 //! profile tabulates each model's latency at every contention level
 //! `1..=max_concurrency` up front — each stream placed once
-//! ([`Runner::plan`]) and executed per level ([`RunPlan::execute`]),
-//! which is [`Runner::run_workloads_scaled`] cell for cell; the event
-//! loop then advances each resident stream's remaining-work fraction at
-//! the rate the current residency implies.
+//! ([`Runner::plan`]) and timed per level, which is
+//! [`Runner::run_workloads_scaled`]'s total latency cell for cell; the
+//! event loop then advances each resident stream's remaining-work
+//! fraction at the rate the current residency implies.
+//!
+//! A profile keeps one report's worth of energy and bits per stage:
+//! the isolated (`k = 1`) run's, which time-sharing conserves. So only
+//! that cell of each stage runs [`RunPlan::execute`]. Every other cell
+//! is read for its latency alone and comes from [`RunPlan::latency`],
+//! the closed form that times each layer shape once and is `execute`'s
+//! total latency to the picosecond: the uniform column at `k >= 2`,
+//! every continuous-batching cell (a batched plane's energy is never
+//! read, since a request's energy is its isolated stages'), and every
+//! off-diagonal flow-level cell.
 //!
 //! A model is a sequence of **stages** — one for a single-pass
 //! inference, prefill plus one stage per generated token for a
@@ -27,6 +37,7 @@
 //!
 //! [`SharePolicy::SloPressure`]: lumos_dse::SharePolicy::SloPressure
 //! [`RunPlan::execute`]: lumos_core::RunPlan::execute
+//! [`RunPlan::latency`]: lumos_core::RunPlan::latency
 
 use lumos_core::contention::ContentionModel;
 use lumos_core::flow::{FlowRoute, FlowTopology};
@@ -46,7 +57,12 @@ pub struct ModelProfile {
     /// `stages[s][k-1]`: latency of stage `s` (stage 0 = the
     /// single-pass stream or prefill; stages `1..` = decode steps) when
     /// `k` streams share the platform uniformly, seconds. Nondecreasing
-    /// in `k` within a stage.
+    /// in `k` within a stage on the electrical and monolithic
+    /// platforms. Not guaranteed on the photonic interposer under
+    /// ReSiPI: its burst threshold scales with the bandwidth share, so
+    /// at a smaller share more layers count as bursts and get every
+    /// gateway (LeNet5 at `K = 16` reads 14.370 µs at `k = 15` and
+    /// 13.804 µs at `k = 16`).
     pub stages: Vec<Vec<f64>>,
     /// Continuous-batching decode tables: `batched[b-1][s-1][k-1]` is
     /// the latency of decode stage `s` when `b` co-resident generations
@@ -122,11 +138,27 @@ impl ModelProfile {
     /// The table holds exact simulations at shares `1/1, 1/2, …, 1/K`.
     /// An exact match (which every uniform `1/k` share is, bit-for-bit)
     /// returns the tabulated value untouched; shares in between are
-    /// interpolated linearly in virtual residency (`v = 1/share`,
-    /// service is close to affine in `v` for both compute- and
-    /// bandwidth-bound streams); shares below `1/K` extrapolate
-    /// proportionally (`service ∝ v`), the exact processor-sharing
-    /// asymptote.
+    /// interpolated linearly in virtual residency (`v = 1/share`);
+    /// shares below `1/K` extrapolate proportionally (`service ∝ v`)
+    /// from `v = K`.
+    ///
+    /// Both are approximations. Their error is measured against the
+    /// exact closed form ([`lumos_core::RunPlan::latency`]) on Table
+    /// 2's CNNs and a GPT-2 generator, and
+    /// `crates/serve/tests/profiles.rs` pins the worst cases as upper
+    /// bounds:
+    ///
+    /// * Service is not affine in `v` between table points. On the
+    ///   photonic interposer ReSiPI's gateway provisioning steps with
+    ///   the share: LeNet5's exact latency jumps from 5.44 µs at
+    ///   `v = 1.9375` to 6.99 µs at `v = 2`, and the interpolation is
+    ///   25.8% off there. The worst within-table errors on the other
+    ///   platforms are 0.18% (monolithic) and 0.07% (Elec).
+    /// * Proportional extrapolation also dilates the per-layer overheads
+    ///   and conversion latencies, which do not depend on the share, so
+    ///   it overestimates overhead-bound streams. Between `K` and `2K`
+    ///   the worst errors for `K = 4` / `16` are 17.2% / 4.7%
+    ///   (monolithic), 80.8% / 50.5% (Elec) and 60.9% / 36.8% (SiPh).
     ///
     /// # Panics
     ///
@@ -209,7 +241,10 @@ impl ModelProfile {
 /// at the uniform `1/k` shares return tabulated values bit-for-bit,
 /// shares in between interpolate linearly in virtual residency
 /// (`v = 1/share`), and shares below `1/K` extrapolate proportionally
-/// (`service ∝ v`) — the exact processor-sharing asymptote.
+/// (`service ∝ v`) from the deepest tabulated point.
+///
+/// Neither is exact: [`ModelProfile::stage_service_at_share`] gives
+/// the measured error.
 ///
 /// # Panics
 ///
@@ -285,9 +320,10 @@ struct StreamCells {
     /// Flow-level plane `[k-1][j-1]` (stages under
     /// [`ContentionKind::FlowLevel`] only; empty otherwise).
     plane: Vec<Vec<f64>>,
-    /// Energy of the `k = 1` run, joules.
+    /// Energy of the `k = 1` run, joules (stage streams only; zero for
+    /// a batched stream, whose energy no total reads).
     energy_j: f64,
-    /// Bits the `k = 1` run moved.
+    /// Bits the `k = 1` run moved (stage streams only).
     bits: u64,
     /// Per MAC class ([`MacClass::all`] order), the unit-seconds of each
     /// placement share of that class, in placement order (stages only).
@@ -304,9 +340,16 @@ struct StreamCells {
 /// level.
 ///
 /// Each stream (a stage, or a decode step at batch depth `b ≥ 2`) is
-/// placed once ([`Runner::plan`]) and executed at every contention cell
-/// it needs ([`RunPlan::execute`](lumos_core::RunPlan::execute)). A
-/// model's streams are tabulated in parallel on
+/// placed once ([`Runner::plan`]) and timed at every contention cell
+/// it needs. A stage's `k = 1` cell runs
+/// [`RunPlan::execute`](lumos_core::RunPlan::execute), because its
+/// energy and bits are the model's per-request totals; every other
+/// cell, batched `k = 1` cells included, reads only a latency and runs
+/// the closed form [`RunPlan::latency`](lumos_core::RunPlan::latency),
+/// which equals the executed total latency bit for bit. A GPT-2
+/// generator of 13 stages, `K = 16` and `continuous(4)` then makes 13
+/// executes and 699 closed-form cells per platform. A model's streams
+/// are tabulated in parallel on
 /// [`lumos_dse::available_threads`] workers; results come back in
 /// stream order and are folded in that order, so the profiles do not
 /// depend on the thread count.
@@ -385,15 +428,22 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
                 unit_seconds: Default::default(),
                 chiplets: Vec::new(),
             };
+            let stage = matches!(stream, Stream::Stage(..));
             for k in 1..=depth {
-                let report = plan.execute(&ContentionModel::of_resident_streams(k))?;
-                if k == 1 {
+                let contention = ContentionModel::of_resident_streams(k);
+                let latency = if stage && k == 1 {
+                    // The one cell whose energy and bits the model
+                    // totals fold in.
+                    let report = plan.execute(&contention)?;
                     cells.energy_j = report.energy.total_j();
                     cells.bits = report.bits_moved;
-                }
-                cells.column.push(report.total_latency.as_secs_f64());
+                    report.total_latency
+                } else {
+                    plan.latency(&contention)?
+                };
+                cells.column.push(latency.as_secs_f64());
             }
-            if let Stream::Batched { .. } = stream {
+            if !stage {
                 return Ok(cells);
             }
 
@@ -411,7 +461,7 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
                         } else {
                             let contention = ContentionModel::uniform(1.0 / k as f64)
                                 .with_bandwidth_share(1.0 / j as f64);
-                            plan.execute(&contention)?.total_latency.as_secs_f64()
+                            plan.latency(&contention)?.as_secs_f64()
                         });
                     }
                     cells.plane.push(col);

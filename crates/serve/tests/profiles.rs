@@ -271,3 +271,153 @@ fn the_first_failing_stream_names_the_error() {
     let err = build_profiles(&cfg).expect_err("unplaceable layer rejected");
     assert!(err.to_string().contains("broken_step1"), "{err}");
 }
+
+/// Table 2's CNNs (10 rps, 50 ms SLO) and a GPT-2-small generator
+/// (prompt 32, 12 tokens, int8).
+fn table2_and_gpt2() -> Vec<ServedModel> {
+    let mut models: Vec<ServedModel> = lumos_dnn::zoo::table2_models()
+        .iter()
+        .map(|m| ServedModel::cnn(m, Precision::int8(), 10.0, 50.0))
+        .collect();
+    models.push(ServedModel::generator(
+        &lumos_xformer::zoo::gpt2_small(),
+        32,
+        12,
+        1,
+        Precision::int8(),
+        10.0,
+        1_000.0,
+    ));
+    models
+}
+
+/// Virtual residencies `v = 1/share` from 1 to `v_max` in steps of
+/// 1/16.
+fn residencies(v_max: usize) -> impl Iterator<Item = f64> {
+    (0..=16 * (v_max - 1)).map(|i| 1.0 + i as f64 / 16.0)
+}
+
+#[test]
+fn share_interpolation_error_stays_within_its_measured_bound() {
+    // The worst relative error of `stage_service_at_share` against the
+    // exact latency at that share (`RunPlan::latency`), in percent, per
+    // platform: within the table (v <= K) and beyond it (K < v <= 2K,
+    // proportional extrapolation from v = K). The measured worst cases,
+    // rounded up:
+    // - within: monolithic 0.18% (LeNet5, v = 1.5), Elec 0.07% (VGG16,
+    //   v = 7.375), SiPh 25.8% (LeNet5, v = 1.9375: ReSiPI's
+    //   provisioning steps at v = 2, where the exact curve jumps from
+    //   5.44 µs at v = 1.9375 to 6.99 µs);
+    // - beyond K = 4 / 16: monolithic 17.2% / 4.7%, Elec 80.8% / 50.5%
+    //   (MobileNetV2, DenseNet-121), SiPh 60.9% / 36.8% (LeNet5):
+    //   proportional extrapolation overestimates streams whose
+    //   per-layer overheads do not dilate with the share.
+    // A ratchet: a change may tighten these bounds, never loosen them.
+    let bounds = [
+        // (platform, within, beyond K = 4, beyond K = 16)
+        (Platform::Monolithic, 0.19, 17.3, 4.8),
+        (Platform::Elec2p5D, 0.07, 80.8, 50.5),
+        (Platform::Siph2p5D, 25.9, 61.0, 36.9),
+    ];
+    let models = table2_and_gpt2();
+    let cfg = PlatformConfig::paper_table1();
+    let runner = Runner::new(cfg.clone());
+    for (platform, within_bound, beyond_4, beyond_16) in bounds {
+        // exact[m][s][i]: stage s of model m at the i-th residency.
+        let exact: Vec<Vec<Vec<f64>>> = models
+            .iter()
+            .map(|m| {
+                m.stages()
+                    .map(|stage| {
+                        let plan = runner.plan(&platform, &m.name, stage).expect("stage plans");
+                        residencies(32)
+                            .map(|v| {
+                                let c = ContentionModel::uniform(1.0 / v);
+                                plan.latency(&c).expect("exact cell").as_secs_f64()
+                            })
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        for (k, beyond_bound) in [(4, beyond_4), (16, beyond_16)] {
+            let serve =
+                ServeConfig::new(cfg.clone(), platform, models.clone()).with_max_concurrency(k);
+            let profiles = build_profiles(&serve).expect("profiles build");
+            // (worst error in percent, where)
+            let mut within = (0.0f64, String::new());
+            let mut beyond = within.clone();
+            for (profile, exact) in profiles.models.iter().zip(&exact) {
+                for (s, exact) in exact.iter().enumerate() {
+                    for (v, &exact) in residencies(2 * k).zip(exact) {
+                        let looked_up = profile.stage_service_at_share(s, 1.0 / v);
+                        let err = 100.0 * (looked_up - exact).abs() / exact;
+                        let worst = if v <= k as f64 {
+                            &mut within
+                        } else {
+                            &mut beyond
+                        };
+                        if err > worst.0 {
+                            *worst = (err, format!("{} stage {s} at v = {v}", profile.name));
+                        }
+                    }
+                }
+            }
+            assert!(
+                within.0 <= within_bound,
+                "{platform:?} K = {k}: {:.4}% within the table ({})",
+                within.0,
+                within.1
+            );
+            assert!(
+                beyond.0 <= beyond_bound,
+                "{platform:?} K = {k}: {:.4}% beyond the table ({})",
+                beyond.0,
+                beyond.1
+            );
+        }
+    }
+}
+
+#[test]
+fn profiles_are_nondecreasing_in_k_but_for_one_siph_cell() {
+    // Every `stages` and `batched` column up to K = 16 under
+    // continuous(4), Table 2 CNNs and a GPT-2 generator: nondecreasing
+    // on Elec and monolithic. On SiPh, ReSiPI's burst threshold scales
+    // with the bandwidth share, so at a smaller share more layers count
+    // as bursts and get every gateway: LeNet5 reads 14.370 µs at k = 15
+    // and 13.804 µs at k = 16, the one drop in the grid.
+    let models = table2_and_gpt2();
+    for platform in PLATFORMS {
+        let serve = ServeConfig::new(PlatformConfig::paper_table1(), platform, models.clone())
+            .with_max_concurrency(16)
+            .with_batching(BatchPolicy::continuous(4));
+        let profiles = build_profiles(&serve).expect("profiles build");
+        let mut drops = Vec::new();
+        for p in &profiles.models {
+            let stages = p
+                .stages
+                .iter()
+                .enumerate()
+                .map(|(s, column)| (format!("stages[{s}]"), column));
+            let batched = p.batched.iter().enumerate().flat_map(|(b, plane)| {
+                plane
+                    .iter()
+                    .enumerate()
+                    .map(move |(s, column)| (format!("batched[{b}][{s}]"), column))
+            });
+            for (table, column) in stages.chain(batched) {
+                for (k, pair) in (1..).zip(column.windows(2)) {
+                    if pair[1] < pair[0] {
+                        drops.push(format!("{} {table} k = {k} -> {}", p.name, k + 1));
+                    }
+                }
+            }
+        }
+        let expected: &[&str] = match platform {
+            Platform::Siph2p5D => &["lenet5 stages[0] k = 15 -> 16"],
+            _ => &[],
+        };
+        assert_eq!(drops, expected, "{platform:?}");
+    }
+}
