@@ -221,11 +221,26 @@ impl PlatformConfig {
     /// Returns [`CoreError::BadConfig`] describing the first violated
     /// constraint.
     pub fn validate(&self) -> Result<(), CoreError> {
+        let mut lanes = Some(0u64);
         for &class in &MacClass::all() {
             let c = self.class(class);
             if c.chiplets == 0 || c.macs_per_chiplet == 0 || c.macs_per_gateway == 0 {
                 return Err(CoreError::BadConfig {
                     reason: format!("{class:?} has a zero count"),
+                });
+            }
+            // Unit and lane totals are counted in integers: a class too
+            // large to count is rejected, not wrapped.
+            lanes = lanes.and_then(|sum| {
+                let units = c.chiplets.checked_mul(c.macs_per_chiplet)?;
+                sum.checked_add((units as u64).checked_mul(class.lanes().into())?)
+            });
+            if lanes.is_none() {
+                return Err(CoreError::BadConfig {
+                    reason: format!(
+                        "{class:?}: {} chiplets of {} MACs overflow the MAC lane count",
+                        c.chiplets, c.macs_per_chiplet
+                    ),
                 });
             }
             if !c.macs_per_chiplet.is_multiple_of(c.macs_per_gateway) {

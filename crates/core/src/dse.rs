@@ -256,8 +256,12 @@ pub fn infeasibility_reason(
 
 /// Applies a MAC scale factor to every chiplet class, keeping gateway
 /// divisibility intact (counts round to the nearest multiple of the
-/// class's MACs-per-gateway, minimum one group).
+/// class's MACs-per-gateway, minimum one group). A scale that is not
+/// finite and positive leaves no MACs, and one too large to count
+/// saturates the MAC count; [`PlatformConfig::validate`] rejects both,
+/// so such a grid point is infeasible.
 fn scale_macs(cfg: &mut PlatformConfig, scale: f64) {
+    let scalable = scale.is_finite() && scale > 0.0;
     for class_cfg in [
         &mut cfg.dense,
         &mut cfg.conv7,
@@ -266,7 +270,11 @@ fn scale_macs(cfg: &mut PlatformConfig, scale: f64) {
     ] {
         let per_gw = class_cfg.macs_per_gateway;
         let target = (class_cfg.macs_per_chiplet as f64 * scale).round() as usize;
-        let groups = (target / per_gw).max(1);
+        let groups = if scalable {
+            (target / per_gw).max(1)
+        } else {
+            0
+        };
         class_cfg.macs_per_chiplet = groups * per_gw;
     }
 }

@@ -23,7 +23,7 @@ use lumos_dnn::workload::{extract_workloads, KernelClass};
 use lumos_dnn::{LayerWorkload, Model};
 use lumos_hbm::HbmStack;
 use lumos_metrics::{MetricId, MetricsRegistry};
-use lumos_noc::{Coord, MeshNetwork, MeshTransfer};
+use lumos_noc::{Coord, LinkModel, MeshNetwork, MeshTransfer};
 use lumos_phnet::network::PhotonicInterposer;
 use lumos_sim::{BandwidthServer, SimTime};
 use lumos_trace::{ArgValue, Tracer};
@@ -58,62 +58,37 @@ pub struct Runner {
 }
 
 /// The contention-independent half of a run ([`Runner::plan`]): one
-/// stream's workloads, borrowed, their grouping by shape, and the
-/// placement of each shape under the planning runner's configuration
-/// and [`PlacementPolicy`]. The plan borrows that runner too and always
-/// executes on it, so it cannot be paired with another stream or
-/// another configuration.
+/// stream's workloads, borrowed, and a one-stream [`ShapeTable`] of
+/// them: their grouping by shape and the placement of each shape under
+/// the planning runner's configuration and [`PlacementPolicy`]. The
+/// plan borrows that runner too and always executes on it, so it
+/// cannot be paired with another stream or another configuration.
 #[derive(Debug)]
 pub struct RunPlan<'a> {
-    runner: &'a Runner,
-    platform: Platform,
     model_name: &'a str,
     workloads: &'a [LayerWorkload],
-    /// Each workload's shape id, dense in order of first occurrence.
-    shapes: Vec<usize>,
-    /// Each shape's placement, by shape id.
-    placements: Vec<Placement>,
+    /// The workloads as stream 0.
+    table: ShapeTable<'a>,
 }
 
 impl RunPlan<'_> {
     /// Each workload's placement, in execution order. Repeats of a
     /// shape yield its one placement again.
     pub fn placements(&self) -> impl ExactSizeIterator<Item = &Placement> + '_ {
-        self.shapes.iter().map(|&shape| &self.placements[shape])
+        self.table.placements(0)
     }
 
     /// The plan's total latency under `contention`:
     /// [`execute`](Self::execute)'s
     /// [`total_latency`](RunReport::total_latency), bit for bit, without
-    /// the report.
-    ///
-    /// Without weight prefetch every link is idle when a layer starts
-    /// (see [`execute`](Self::execute)), so each layer adds
-    /// `stall + overhead + dur` to the clock. `dur`, from the layer's
-    /// start to its last stream's finish, depends only on its shape,
-    /// its placement and `contention`. `stall` is the photonic
-    /// interposer's reconfiguration stall
-    /// ([`PhotonicInterposer::switch_stall`]), a function of the
-    /// active set the previous layer left (the all-on boot set for the
-    /// first layer) and the one this layer's demand selects; each set
-    /// depends only on its layer's shape and `contention`, and the
-    /// stall is zero on the other platforms. So each distinct shape is
-    /// simulated once, in order of first occurrence, on one backend,
-    /// each starting where the previous one finished; the total is the
-    /// integer-picosecond sum over layers of `overhead + dur` plus every
-    /// transition's stall. Nothing is rounded, and no energy, report,
-    /// trace or metric is produced. A GPT-2 decode step's 124 layers
-    /// cost 11 shape simulations.
-    ///
-    /// With [`prefetch_weights`](crate::calibration::Calibration::prefetch_weights)
-    /// on, a layer's weights queue behind its predecessor's traffic, so
-    /// this is `execute(contention)?.total_latency`.
+    /// the report. This is the one-stream case of
+    /// [`ShapeTable::latencies`], which gives the closed form.
     ///
     /// # Errors
     ///
     /// Those of [`execute`](Self::execute), for the same inputs.
     pub fn latency(&self, contention: &ContentionModel) -> Result<SimTime, CoreError> {
-        self.runner.latency(self, contention)
+        Ok(self.table.latencies(contention, &[0])?[0])
     }
 
     /// Executes the plan under `contention` on the runner that made it:
@@ -150,12 +125,307 @@ impl RunPlan<'_> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadConfig`] for shares outside `(0, 1]`,
-    /// [`CoreError::InfeasiblePhotonics`] when the photonic interposer
-    /// cannot close its link budget at the allocated bandwidth.
+    /// * [`CoreError::BadConfig`] for shares outside `(0, 1]`, for a
+    ///   bandwidth share that derates a link below a link server's rate
+    ///   resolution ([`BandwidthServer::RESOLUTION_GBPS`]), and for
+    ///   shares that stretch the run past [`HORIZON`];
+    /// * [`CoreError::InfeasiblePhotonics`] when the photonic interposer
+    ///   cannot close its link budget at the allocated bandwidth.
     pub fn execute(&self, contention: &ContentionModel) -> Result<RunReport, CoreError> {
-        self.runner.execute(self, contention)
+        let table = &self.table;
+        let layers = self.workloads.iter().zip(table.streams[0].iter().copied());
+        table.runner.execute(
+            &table.platform,
+            self.model_name,
+            layers,
+            &table.placements,
+            contention,
+        )
     }
+}
+
+/// The latest instant a run may reach: a quarter of [`SimTime`]'s
+/// range (about 53 days of simulated time), so that every stream a
+/// layer issues before it still finishes inside that range. A run
+/// under shares that would pass it fails with [`CoreError::BadConfig`]
+/// instead.
+pub const HORIZON: SimTime = SimTime::from_ps(u64::MAX / 4);
+
+/// Layer shapes shared by many streams of one platform
+/// ([`Runner::shape_table`]): each distinct shape (every
+/// [`LayerWorkload`] field but `name`) is placed once, under the
+/// runner's configuration and [`PlacementPolicy`], and kept as one
+/// nameless representative workload and its placement. A stream is
+/// kept as its sequence of shape ids, so the table holds no names and
+/// borrows no workloads: a caller may drop a stream once it is added.
+///
+/// # Examples
+///
+/// ```
+/// use lumos_core::{ContentionModel, Platform, PlatformConfig, Runner};
+/// use lumos_dnn::workload::{extract_workloads, Precision};
+///
+/// let runner = Runner::new(PlatformConfig::paper_table1());
+/// let mut table = runner.shape_table(&Platform::Siph2p5D)?;
+/// let lenet = extract_workloads(&lumos_dnn::zoo::lenet5(), Precision::int8());
+/// let lenet = table.add_stream(&lenet)?;
+/// let vgg = extract_workloads(&lumos_dnn::zoo::vgg16(), Precision::int8());
+/// let vgg = table.add_stream(&vgg)?;
+/// // Both streams' shapes, each simulated once at half of everything.
+/// let half = table.latencies(&ContentionModel::of_resident_streams(2), &[vgg, lenet])?;
+/// let solo = table.execute(lenet, &ContentionModel::uncontended())?;
+/// assert!(half[1] > solo.total_latency);
+/// assert!(half[0] > half[1]);
+/// # Ok::<(), lumos_core::error::CoreError>(())
+/// ```
+#[derive(Debug)]
+pub struct ShapeTable<'r> {
+    runner: &'r Runner,
+    platform: Platform,
+    /// Shape key → shape id, dense in order of first occurrence.
+    ids: HashMap<Shape, usize>,
+    /// One workload of each shape, nameless, by shape id.
+    shapes: Vec<LayerWorkload>,
+    /// Each shape's placement, by shape id.
+    placements: Vec<Placement>,
+    /// Each stream's shape ids, in execution order, by stream id.
+    streams: Vec<Vec<usize>>,
+}
+
+impl ShapeTable<'_> {
+    /// Adds `workloads` as the next stream and returns its id (dense
+    /// from 0, in order of addition). Each shape the table does not
+    /// hold yet is placed once, in order of first occurrence.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadConfig`] for inconsistent placement pins,
+    /// [`CoreError::UnmappableLayer`] for kernels no class covers. The
+    /// stream is then not added.
+    pub fn add_stream(&mut self, workloads: &[LayerWorkload]) -> Result<usize, CoreError> {
+        let mut stream = Vec::with_capacity(workloads.len());
+        for w in workloads {
+            let next = self.ids.len();
+            let shape = match self.ids.entry(shape_of(w)) {
+                Entry::Occupied(id) => *id.get(),
+                Entry::Vacant(slot) => {
+                    let runner = self.runner;
+                    self.placements
+                        .push(place_with(&runner.cfg, w, &runner.placement)?);
+                    self.shapes.push(LayerWorkload {
+                        name: String::new(),
+                        ..*w
+                    });
+                    *slot.insert(next)
+                }
+            };
+            stream.push(shape);
+        }
+        self.streams.push(stream);
+        Ok(self.streams.len() - 1)
+    }
+
+    /// The number of streams added.
+    pub fn streams(&self) -> usize {
+        self.streams.len()
+    }
+
+    /// Stream `stream`'s placements, one per workload in execution
+    /// order. Every occurrence of a shape, in any stream, yields its
+    /// one placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no stream `stream` was added.
+    pub fn placements(&self, stream: usize) -> impl ExactSizeIterator<Item = &Placement> + '_ {
+        self.streams[stream]
+            .iter()
+            .map(|&shape| &self.placements[shape])
+    }
+
+    /// Executes stream `stream` under `contention`:
+    /// [`RunPlan::execute`] of the workloads added as that stream, but
+    /// for names. The table keeps none, so the report's model and
+    /// layer names are empty.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`RunPlan::execute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if no stream `stream` was added.
+    pub fn execute(
+        &self,
+        stream: usize,
+        contention: &ContentionModel,
+    ) -> Result<RunReport, CoreError> {
+        let layers = self.streams[stream]
+            .iter()
+            .map(|&shape| (&self.shapes[shape], shape));
+        self.runner
+            .execute(&self.platform, "", layers, &self.placements, contention)
+    }
+
+    /// The total latency under `contention` of each stream of
+    /// `streams`, in that order: [`execute`](Self::execute)'s
+    /// [`total_latency`](RunReport::total_latency), bit for bit, without
+    /// the report. The selection may hold any streams in any order.
+    ///
+    /// Without weight prefetch every link is idle when a layer starts
+    /// (see [`RunPlan::execute`]), so each layer adds
+    /// `stall + overhead + dur` to the clock. `dur`, from the layer's
+    /// start to its last stream's finish, depends only on its shape,
+    /// its placement and `contention`. `stall` is the photonic
+    /// interposer's reconfiguration stall
+    /// ([`PhotonicInterposer::switch_stall`]), a function of the
+    /// active set the previous layer left (the all-on boot set for a
+    /// stream's first layer) and the one this layer's demand selects;
+    /// each set depends only on its layer's shape and `contention`, and
+    /// the stall is zero on the other platforms. So each distinct shape
+    /// of the selected streams is simulated once, in order of first
+    /// occurrence, on one backend, each starting where the previous one
+    /// finished. A stream's total is the integer-picosecond sum over its
+    /// layers of `overhead + dur` plus its own chain of transition
+    /// stalls, starting from the boot set. Nothing is rounded, and no
+    /// energy, report, trace or metric is produced. A GPT-2 decode
+    /// step's 124 layers cost 11 shape simulations; a GPT-2 generator's
+    /// 13 stages and 36 decode steps re-lowered at batch depth 2–4 hold
+    /// 190 shapes between them.
+    ///
+    /// With [`prefetch_weights`](crate::calibration::Calibration::prefetch_weights)
+    /// on, a layer's weights queue behind its predecessor's traffic, so
+    /// each stream's latency is `execute(stream, contention)?.total_latency`.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`RunPlan::execute`], for the same inputs: the first
+    /// selected stream that fails gives the error.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a selected stream was not added.
+    pub fn latencies(
+        &self,
+        contention: &ContentionModel,
+        streams: &[usize],
+    ) -> Result<Vec<SimTime>, CoreError> {
+        let runner = self.runner;
+        if runner.cfg.calibration.prefetch_weights {
+            return streams
+                .iter()
+                .map(|&stream| Ok(self.execute(stream, contention)?.total_latency))
+                .collect();
+        }
+        contention.validate()?;
+        let platform = self.platform;
+        let bw_share = contention.bandwidth_share();
+        let mut backend = runner.build_backend(&platform, contention)?;
+        let overhead = SimTime::from_ns(runner.cfg.calibration.layer_overhead_ns);
+        // The interposer's active set before a stream's first layer:
+        // all on.
+        let boot = match &backend {
+            Backend::Siph { net, .. } => Some(net.active_set().clone()),
+            _ => None,
+        };
+
+        // Each selected shape's duration, start to last finish, and
+        // (photonic interposer) the active set it runs on, by shape id;
+        // `None` for shapes no selected stream holds. `SimTime::MAX`
+        // marks a shape whose compute span alone passes the horizon.
+        // Shapes are simulated at their first occurrence, one after
+        // another on idle links, so each starts after its predecessor's
+        // finish and reconfiguration stall, as in a run.
+        let mut durs: Vec<Option<SimTime>> = vec![None; self.shapes.len()];
+        let mut sets = vec![None; if boot.is_some() { self.shapes.len() } else { 0 }];
+        let mut mesh = Vec::new();
+        let mut t = SimTime::ZERO;
+        for &shape in streams.iter().flat_map(|&stream| &self.streams[stream]) {
+            if durs[shape].is_some() {
+                continue;
+            }
+            if t > HORIZON {
+                // Start again from zero on idle links, so the clock
+                // stays in range however many shapes there are.
+                backend = runner.build_backend(&platform, contention)?;
+                t = SimTime::ZERO;
+            }
+            let placement = &self.placements[shape];
+            let io = LayerIo::new(&self.shapes[shape], placement);
+            let compute_s = runner
+                .share_spans(platform, placement, contention)
+                .fold(0.0f64, |slowest, share| slowest.max(share.secs));
+            let stall = match &mut backend {
+                Backend::Siph { net, .. } => {
+                    let stall = net.reconfigure(t, &runner.resipi_demand(&io, compute_s, bw_share));
+                    sets[shape] = Some(net.active_set().clone());
+                    stall
+                }
+                _ => SimTime::ZERO,
+            };
+            let start = t + stall + overhead;
+            let compute_span = SimTime::from_secs_f64(compute_s);
+            durs[shape] = Some(if compute_span > HORIZON {
+                t = start;
+                SimTime::MAX
+            } else {
+                mesh.clear();
+                t = backend
+                    .simulate(&io, start, start, start + compute_span, &mut mesh)
+                    .finish();
+                t - start
+            });
+        }
+
+        // Totals are summed in u128 picoseconds, which no stream
+        // overflows, and then checked against the horizon once.
+        let ps = |t: SimTime| u128::from(t.as_ps());
+        let step = ps(overhead);
+        streams
+            .iter()
+            .map(|&stream| {
+                let seq = &self.streams[stream];
+                let mut total = 0u128;
+                for &shape in seq {
+                    total += step + ps(durs[shape].expect("every selected shape is simulated"));
+                }
+                if let (Backend::Siph { net, .. }, Some(boot)) = (&backend, &boot) {
+                    let mut from = boot;
+                    for &shape in seq {
+                        let to = sets[shape]
+                            .as_ref()
+                            .expect("every selected shape is simulated");
+                        total += ps(net.switch_stall(from, to));
+                        from = to;
+                    }
+                }
+                if total <= ps(HORIZON) {
+                    Ok(SimTime::from_ps(total as u64))
+                } else {
+                    Err(beyond_horizon(contention))
+                }
+            })
+            .collect()
+    }
+}
+
+/// The error of a run whose clock would pass [`HORIZON`] under
+/// `contention`.
+fn beyond_horizon(contention: &ContentionModel) -> CoreError {
+    let units = MacClass::all().map(|class| contention.unit_share(class));
+    CoreError::BadConfig {
+        reason: format!(
+            "unit shares {units:?} with bandwidth share {:?} stretch the run past {HORIZON}",
+            contention.bandwidth_share()
+        ),
+    }
+}
+
+/// `at + by`, or [`beyond_horizon`] where that passes [`HORIZON`].
+fn advance(at: SimTime, by: SimTime, contention: &ContentionModel) -> Result<SimTime, CoreError> {
+    at.checked_add(by)
+        .filter(|&t| t <= HORIZON)
+        .ok_or_else(|| beyond_horizon(contention))
 }
 
 // Trace lanes (tids) of one platform run: the rolled-up per-layer op on
@@ -373,19 +643,19 @@ enum Backend {
 impl Backend {
     /// Simulates a layer's streams: the inbound ones
     /// ([`Backend::stream_in`]), compute overlapping them (double
-    /// buffering: it cannot finish before either the data or its
-    /// `compute_span` of passes from `start` do), and the write-back
-    /// at compute finish ([`Backend::stream_out`]).
+    /// buffering: it cannot finish before either the data or its span
+    /// of passes from `start`, ending at `compute_end`, do), and the
+    /// write-back at compute finish ([`Backend::stream_out`]).
     fn simulate(
         &mut self,
         io: &LayerIo,
         weight_issue: SimTime,
         start: SimTime,
-        compute_span: SimTime,
+        compute_end: SimTime,
         mesh: &mut Vec<MeshSend>,
     ) -> LayerTimes {
         let (hbm_in_fin, net_in_fin) = self.stream_in(io, weight_issue, start, mesh);
-        let compute_fin = hbm_in_fin.max(net_in_fin).max(start + compute_span);
+        let compute_fin = hbm_in_fin.max(net_in_fin).max(compute_end);
         let (hbm_out_fin, net_out_fin) = self.stream_out(io, compute_fin, mesh);
         LayerTimes {
             hbm_in_fin,
@@ -697,7 +967,8 @@ impl Runner {
     /// # Errors
     ///
     /// Same as [`Runner::run`], plus [`CoreError::BadConfig`] for
-    /// shares outside `(0, 1]`.
+    /// shares outside `(0, 1]` and for shares too small to simulate
+    /// (see [`RunPlan::execute`]).
     pub fn run_workloads_scaled(
         &self,
         platform: &Platform,
@@ -709,16 +980,35 @@ impl Runner {
             .execute(contention)
     }
 
+    /// An empty [`ShapeTable`] for `platform` on this runner's
+    /// configuration and [`PlacementPolicy`], after validating the
+    /// configuration.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BadConfig`] for inconsistent configurations.
+    pub fn shape_table(&self, platform: &Platform) -> Result<ShapeTable<'_>, CoreError> {
+        self.cfg.validate()?;
+        Ok(ShapeTable {
+            runner: self,
+            platform: *platform,
+            ids: HashMap::new(),
+            shapes: Vec::new(),
+            placements: Vec::new(),
+            streams: Vec::new(),
+        })
+    }
+
     /// The contention-independent half of a run: validates the
     /// configuration, groups the workloads by shape (every
     /// [`LayerWorkload`] field but `name`) and places each distinct
-    /// shape once under the runner's [`PlacementPolicy`]; the plan holds
-    /// one placement per shape, which its repeats share. A GPT-2 decode
-    /// step's 124 workloads are 11 shapes, so it places 11 times. The
-    /// grouping is also what lets [`RunPlan::execute`] and
-    /// [`RunPlan::latency`] simulate each shape once. The plan borrows
-    /// this runner, `workloads` and the name, so it always runs on this
-    /// runner's configuration and this stream.
+    /// shape once under the runner's [`PlacementPolicy`]: a one-stream
+    /// [`ShapeTable`]. The plan holds one placement per shape, which its
+    /// repeats share. A GPT-2 decode step's 124 workloads are 11
+    /// shapes, so it places 11 times. The grouping is also what lets
+    /// [`RunPlan::execute`] and [`RunPlan::latency`] simulate each shape
+    /// once. The plan borrows this runner, `workloads` and the name, so
+    /// it always runs on this runner's configuration and this stream.
     ///
     /// # Errors
     ///
@@ -746,27 +1036,12 @@ impl Runner {
         model_name: &'a str,
         workloads: &'a [LayerWorkload],
     ) -> Result<RunPlan<'a>, CoreError> {
-        self.cfg.validate()?;
-        let mut ids: HashMap<Shape, usize> = HashMap::new();
-        let mut shapes = Vec::with_capacity(workloads.len());
-        let mut placements = Vec::new();
-        for w in workloads {
-            let shape = match ids.entry(shape_of(w)) {
-                Entry::Occupied(id) => *id.get(),
-                Entry::Vacant(slot) => {
-                    placements.push(place_with(&self.cfg, w, &self.placement)?);
-                    *slot.insert(placements.len() - 1)
-                }
-            };
-            shapes.push(shape);
-        }
+        let mut table = self.shape_table(platform)?;
+        table.add_stream(workloads)?;
         Ok(RunPlan {
-            runner: self,
-            platform: *platform,
             model_name,
             workloads,
-            shapes,
-            placements,
+            table,
         })
     }
 
@@ -837,83 +1112,17 @@ impl Runner {
         demand
     }
 
-    /// [`RunPlan::latency`]: `plan` was made by this runner.
-    fn latency(
+    /// [`RunPlan::execute`] of `layers`, each workload with its shape
+    /// id into `placements`, named `model_name`.
+    fn execute<'w>(
         &self,
-        plan: &RunPlan<'_>,
-        contention: &ContentionModel,
-    ) -> Result<SimTime, CoreError> {
-        if self.cfg.calibration.prefetch_weights {
-            return Ok(self.execute(plan, contention)?.total_latency);
-        }
-        contention.validate()?;
-        let platform = plan.platform;
-        let bw_share = contention.bandwidth_share();
-        let mut backend = self.build_backend(&platform, contention)?;
-        let overhead = SimTime::from_ns(self.cfg.calibration.layer_overhead_ns);
-        // The interposer's active set before the first layer: all on.
-        let boot = match &backend {
-            Backend::Siph { net, .. } => Some(net.active_set().clone()),
-            _ => None,
-        };
-
-        // Each shape's duration, start to last finish, and (photonic
-        // interposer) the active set it runs on, by shape id. Shapes
-        // are simulated at their first occurrence, one after another on
-        // idle links, so each starts after its predecessor's finish and
-        // reconfiguration stall, as in a run.
-        let mut durs: Vec<SimTime> = Vec::with_capacity(plan.placements.len());
-        let mut sets = Vec::new();
-        let mut mesh = Vec::new();
-        let mut t = SimTime::ZERO;
-        for (w, &shape) in plan.workloads.iter().zip(&plan.shapes) {
-            if shape < durs.len() {
-                continue;
-            }
-            let placement = &plan.placements[shape];
-            let io = LayerIo::new(w, placement);
-            let compute_s = self
-                .share_spans(platform, placement, contention)
-                .fold(0.0f64, |slowest, share| slowest.max(share.secs));
-            let stall = match &mut backend {
-                Backend::Siph { net, .. } => {
-                    let stall = net.reconfigure(t, &self.resipi_demand(&io, compute_s, bw_share));
-                    sets.push(net.active_set().clone());
-                    stall
-                }
-                _ => SimTime::ZERO,
-            };
-            let start = t + stall + overhead;
-            mesh.clear();
-            let compute_span = SimTime::from_secs_f64(compute_s);
-            t = backend
-                .simulate(&io, start, start, compute_span, &mut mesh)
-                .finish();
-            durs.push(t - start);
-        }
-
-        let mut total = SimTime::ZERO;
-        for &shape in &plan.shapes {
-            total += overhead + durs[shape];
-        }
-        if let (Backend::Siph { net, .. }, Some(boot)) = (&backend, &boot) {
-            let mut from = boot;
-            for &shape in &plan.shapes {
-                total += net.switch_stall(from, &sets[shape]);
-                from = &sets[shape];
-            }
-        }
-        Ok(total)
-    }
-
-    /// [`RunPlan::execute`]: `plan` was made by this runner.
-    fn execute(
-        &self,
-        plan: &RunPlan<'_>,
+        platform: &Platform,
+        model_name: &str,
+        layers: impl ExactSizeIterator<Item = (&'w LayerWorkload, usize)>,
+        placements: &[Placement],
         contention: &ContentionModel,
     ) -> Result<RunReport, CoreError> {
         contention.validate()?;
-        let platform = &plan.platform;
         let bw_share = contention.bandwidth_share();
         let calib = &self.cfg.calibration;
         let mut backend = self.build_backend(platform, contention)?;
@@ -949,7 +1158,7 @@ impl Runner {
         };
 
         let mut t = SimTime::ZERO;
-        let mut layers = Vec::with_capacity(plan.workloads.len());
+        let mut reports = Vec::with_capacity(layers.len());
         let mut mac_active_j = 0.0;
         let mut active_idle_correction_j = 0.0;
         let mut bits_moved = 0u64;
@@ -963,11 +1172,11 @@ impl Runner {
         let mut memo: Vec<Option<Simulated>> = if calib.prefetch_weights {
             Vec::new()
         } else {
-            vec![None; plan.placements.len()]
+            vec![None; placements.len()]
         };
 
-        for (w, &shape) in plan.workloads.iter().zip(&plan.shapes) {
-            let placement = &plan.placements[shape];
+        for (w, shape) in layers {
+            let placement = &placements[shape];
             let mut compute_s = 0.0f64;
             let mut layer_mac_j = 0.0f64;
             let mut share_samples: Vec<(MacClass, f64, f64)> = Vec::new();
@@ -992,13 +1201,13 @@ impl Runner {
 
             // Reconfiguration (photonic platform only): announce this
             // layer's demand so the ReSiPI controller can scale gateways.
-            let start = match &mut backend {
+            let stall = match &mut backend {
                 Backend::Siph { net, .. } => {
-                    let stall = net.reconfigure(t, &self.resipi_demand(&io, compute_s, bw_share));
-                    t + stall + overhead
+                    net.reconfigure(t, &self.resipi_demand(&io, compute_s, bw_share))
                 }
-                _ => t + overhead,
+                _ => SimTime::ZERO,
             };
+            let start = advance(t, stall + overhead, contention)?;
 
             // Inbound streams: weights (sharded) + activations (broadcast).
             let weight_issue = if calib.prefetch_weights {
@@ -1008,6 +1217,7 @@ impl Runner {
             };
             prev_start = Some(start);
             let compute_span = SimTime::from_secs_f64(compute_s);
+            let compute_end = advance(start, compute_span, contention)?;
             let times = match memo.get(shape) {
                 Some(Some(first)) => {
                     // A repeat over idle links: the first occurrence's
@@ -1018,7 +1228,7 @@ impl Runner {
                 }
                 _ => {
                     let mut mesh = Vec::new();
-                    let times = backend.simulate(&io, weight_issue, start, compute_span, &mut mesh);
+                    let times = backend.simulate(&io, weight_issue, start, compute_end, &mut mesh);
                     if let Some(slot) = memo.get_mut(shape) {
                         *slot = Some(Simulated { start, times, mesh });
                     }
@@ -1034,6 +1244,9 @@ impl Runner {
             } = times;
             let comm_in_fin = hbm_in_fin.max(net_in_fin);
             let layer_fin = times.finish();
+            if layer_fin > HORIZON {
+                return Err(beyond_horizon(contention));
+            }
 
             bits_moved += w.total_bits();
 
@@ -1143,7 +1356,7 @@ impl Runner {
                 );
             }
 
-            layers.push(LayerReport {
+            reports.push(LayerReport {
                 name: w.name.clone(),
                 class: placement.class,
                 start: t,
@@ -1236,12 +1449,12 @@ impl Runner {
         }
 
         Ok(RunReport {
-            model: plan.model_name.to_owned(),
+            model: model_name.to_owned(),
             platform: *platform,
             total_latency: t,
             energy,
             bits_moved,
-            layers,
+            layers: reports,
         })
     }
 
@@ -1301,12 +1514,30 @@ impl Runner {
         // (per-wavelength optical rate, mesh link clock, HBM channel
         // rate, monolithic bus). At bw = 1.0 every rate is untouched.
         let bw = contention.bandwidth_share();
+        // A link server keeps its rate in whole Mb/s and runs a slower
+        // one at one Mb/s, faster than allocated: refuse a share that
+        // derates a link that far.
+        let derate = |link: &str, gbps: f64| {
+            if gbps >= BandwidthServer::RESOLUTION_GBPS {
+                Ok(())
+            } else {
+                Err(CoreError::BadConfig {
+                    reason: format!(
+                        "bandwidth share {bw:?} derates the {link} to {gbps:?} Gb/s, \
+                         below the {} Gb/s a link server resolves",
+                        BandwidthServer::RESOLUTION_GBPS
+                    ),
+                })
+            }
+        };
         let mut hbm_cfg = self.cfg.hbm;
         hbm_cfg.channel_rate_gbps *= bw;
+        derate("HBM channel", hbm_cfg.channel_rate_gbps)?;
         Ok(match platform {
             Platform::Siph2p5D => {
                 let mut phnet_cfg = self.cfg.phnet.clone();
                 phnet_cfg.rate_gbps *= bw;
+                derate("interposer wavelength", phnet_cfg.rate_gbps)?;
                 Backend::Siph {
                     net: Box::new(PhotonicInterposer::new(phnet_cfg)?),
                     hbm: HbmStack::new(hbm_cfg),
@@ -1316,6 +1547,10 @@ impl Runner {
                 // 3×3 mesh: memory at the centre, compute chiplets around
                 // it in id order (Fig. 3's floorplan); the stream sees
                 // its bandwidth share as a derated link clock.
+                derate(
+                    "mesh link",
+                    LinkModel::paper_table1(calib.hop_mm_2p5d).bandwidth_gbps() * bw,
+                )?;
                 let net = MeshNetwork::paper_table1_scaled(3, 3, calib.hop_mm_2p5d, bw);
                 let mem = Coord::new(1, 1);
                 let positions: Vec<Coord> = (0..3u32)
@@ -1338,10 +1573,13 @@ impl Runner {
                     packet_bits: calib.elec_packet_bits,
                 }
             }
-            Platform::Monolithic => Backend::Mono {
-                bus: BandwidthServer::new(calib.mono_mem_gbps * bw),
-                hbm: HbmStack::new(hbm_cfg),
-            },
+            Platform::Monolithic => {
+                derate("memory bus", calib.mono_mem_gbps * bw)?;
+                Backend::Mono {
+                    bus: BandwidthServer::new(calib.mono_mem_gbps * bw),
+                    hbm: HbmStack::new(hbm_cfg),
+                }
+            }
         })
     }
 }

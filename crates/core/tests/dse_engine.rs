@@ -102,19 +102,33 @@ fn infeasible_points_memoize_bit_identically_too() {
 
 /// An axis value past any buildable interposer is an infeasible point,
 /// not a panic that takes the sweep down: 2^20 wavelengths on a 0.8 nm
-/// grid would reach below 0 nm.
+/// grid would reach below 0 nm. So is a MAC scale that leaves no MACs
+/// (NaN, zero, negative, infinite) or more than can be counted.
 #[test]
 fn oversized_axes_are_infeasible_points() {
-    let axes = DseAxes::from_slices(&[1 << 20], &[4], &[1.0]);
-    let (points, _) = dse::sweep_with(
-        &PlatformConfig::paper_table1(),
-        &axes,
-        &zoo::lenet5(),
-        0,
-        None,
-    );
+    let sweep = |axes: &DseAxes| {
+        dse::sweep_with(
+            &PlatformConfig::paper_table1(),
+            axes,
+            &zoo::lenet5(),
+            0,
+            None,
+        )
+        .0
+    };
+    let points = sweep(&DseAxes::from_slices(&[1 << 20], &[4], &[1.0]));
     assert_eq!(points.len(), 1);
     assert!(!points[0].feasible, "{points:?}");
+
+    let scales = [f64::NAN, 0.0, -1.0, f64::INFINITY, 1e300];
+    let points = sweep(&DseAxes::from_slices(&[64], &[4], &scales));
+    assert_eq!(points.len(), scales.len());
+    for p in &points {
+        assert!(!p.feasible, "mac_scale {}: {p:?}", p.mac_scale);
+    }
+    // The smallest scales that still leave MACs keep one gateway group.
+    let points = sweep(&DseAxes::from_slices(&[64], &[4], &[1e-9, 1.0]));
+    assert!(points.iter().all(|p| p.feasible), "{points:?}");
 }
 
 #[test]

@@ -11,7 +11,8 @@
 //! `RunPlan::latency`, the closed-form total, must equal the executed
 //! report's total latency to the picosecond over the same grid, under
 //! every interposer policy and with weight prefetch, and fail where
-//! execution fails, with the same error.
+//! execution fails, with the same error. So must every stream a
+//! `ShapeTable` times, whichever streams it is asked for together.
 
 use std::hash::Hasher;
 
@@ -19,10 +20,12 @@ use lumos_core::contention::ContentionModel;
 use lumos_core::dse::StableHasher;
 use lumos_core::flow::{max_min_shares, FlowTopology};
 use lumos_core::mapper::PlacementPolicy;
-use lumos_core::{MacClass, Platform, PlatformConfig, RunReport, Runner};
+use lumos_core::runner::HORIZON;
+use lumos_core::{CoreError, MacClass, Platform, PlatformConfig, RunReport, Runner};
 use lumos_dnn::workload::{extract_workloads, KernelClass, LayerWorkload};
 use lumos_dnn::zoo;
 use lumos_phnet::controller::ReconfigPolicy;
+use lumos_xformer::{extract_decode_workloads, extract_transformer_workloads};
 
 const PLATFORMS: [Platform; 3] = [Platform::Siph2p5D, Platform::Elec2p5D, Platform::Monolithic];
 
@@ -295,6 +298,191 @@ fn latency_is_the_executed_total_latency_bitwise() {
                 }
             }
         }
+    }
+}
+
+/// The streams of one shape table: GPT-2 prefill, a GPT-2 decode step
+/// at batch 1–4 (one shape set re-lowered four times), and the Table 2
+/// CNNs.
+fn table_streams(cfg: &PlatformConfig) -> Vec<(String, Vec<LayerWorkload>)> {
+    let gpt2 = lumos_xformer::zoo::gpt2_small();
+    let mut all = vec![(
+        "gpt2 prefill".to_owned(),
+        extract_transformer_workloads(&gpt2, 32, 1, cfg.precision),
+    )];
+    for batch in 1..=4 {
+        all.push((
+            format!("gpt2 decode x{batch}"),
+            extract_decode_workloads(&gpt2, 40, batch, cfg.precision),
+        ));
+    }
+    for model in zoo::table2_models() {
+        all.push((
+            model.name().to_owned(),
+            extract_workloads(&model, cfg.precision),
+        ));
+    }
+    all
+}
+
+#[test]
+fn table_latencies_are_each_streams_latency_bitwise() {
+    let zero = ContentionModel::uniform(0.0);
+    // Off-diagonal (compute, bandwidth) pairs, as flow-level planes ask.
+    let off_diagonal = [
+        (1.0, 1.0 / 8.0),
+        (1.0 / 16.0, 1.0 / 2.0),
+        (1.0 / 3.0, 1.0 / 5.0),
+    ]
+    .map(|(compute, bandwidth)| ContentionModel::uniform(compute).with_bandwidth_share(bandwidth));
+    for (config, cfg) in latency_configs() {
+        let streams = table_streams(&cfg);
+        let n = streams.len();
+        // Any subset in any order: everything, reversed, every other
+        // stream, a few out of order with a repeat, and each alone.
+        let mut selections: Vec<Vec<usize>> = vec![
+            (0..n).collect(),
+            (0..n).rev().collect(),
+            (0..n).step_by(2).collect(),
+            vec![n - 1, 2, 0, 2],
+        ];
+        selections.extend((0..n).map(|s| vec![s]));
+        for policy in policies() {
+            let runner = Runner::new(cfg.clone()).with_placement(policy.clone());
+            for platform in PLATFORMS {
+                let mut table = runner.shape_table(&platform).expect("valid config");
+                let plans: Vec<_> = streams
+                    .iter()
+                    .map(|(name, work)| {
+                        let next = table.streams();
+                        assert_eq!(table.add_stream(work), Ok(next));
+                        runner.plan(&platform, name, work).expect("stream plans")
+                    })
+                    .collect();
+                let contentions = contentions(&cfg, platform);
+                for (i, c) in contentions
+                    .iter()
+                    .chain(&off_diagonal)
+                    .chain([&zero])
+                    .enumerate()
+                {
+                    let what = format!("{config} {platform:?} #{i} {policy:?}");
+                    let executed: Vec<_> = plans
+                        .iter()
+                        .map(|plan| plan.execute(c).map(|r| r.total_latency))
+                        .collect();
+                    for (s, plan) in plans.iter().enumerate() {
+                        assert_eq!(plan.latency(c), executed[s], "{what} {}", streams[s].0);
+                        // The table's own execution is the plan's but
+                        // for names.
+                        let (planned, tabled) = (plan.execute(c), table.execute(s, c));
+                        assert_eq!(planned.is_ok(), tabled.is_ok(), "{what}");
+                        if let (Ok(a), Ok(b)) = (planned, tabled) {
+                            assert_eq!(
+                                (a.total_latency, a.bits_moved, a.energy.total_j().to_bits()),
+                                (b.total_latency, b.bits_moved, b.energy.total_j().to_bits()),
+                                "{what} {}",
+                                streams[s].0
+                            );
+                        }
+                    }
+                    for selection in &selections {
+                        let expected: Result<Vec<_>, _> =
+                            selection.iter().map(|&s| executed[s].clone()).collect();
+                        assert_eq!(
+                            table.latencies(c, selection),
+                            expected,
+                            "{what} {selection:?}"
+                        );
+                    }
+                    let fails =
+                        c == &zero || (config == "infeasible" && platform == Platform::Siph2p5D);
+                    assert_eq!(executed[0].is_err(), fails, "{what}");
+                }
+            }
+        }
+    }
+}
+
+/// Shares so small that a link would run below a link server's 1 Mb/s
+/// resolution, or the run's clock past [`HORIZON`], are configuration
+/// errors on every path: not a panic (debug builds) nor a wrapped or
+/// silently clamped latency (release builds).
+#[test]
+fn tiny_shares_are_errors_not_panics() {
+    let cfg = PlatformConfig::paper_table1();
+    let runner = Runner::new(cfg.clone());
+    let work = extract_workloads(&zoo::lenet5(), cfg.precision);
+    let tiny = [
+        ContentionModel::uniform(1e-300),
+        ContentionModel::uncontended().with_bandwidth_share(1e-300),
+        ContentionModel::uncontended().with_bandwidth_share(1e-15),
+        ContentionModel::uncontended().with_bandwidth_share(1e-6),
+        ContentionModel::uniform(1e-9),
+        ContentionModel::uncontended().with_unit_share(MacClass::Conv5, 1e-300),
+    ];
+    for platform in PLATFORMS {
+        let plan = runner
+            .plan(&platform, "lenet5", &work)
+            .expect("lenet5 plans");
+        let mut table = runner.shape_table(&platform).expect("valid config");
+        let stream = table.add_stream(&work).expect("lenet5 adds");
+        for c in &tiny {
+            let what = format!("{platform:?} {c:?}");
+            let scaled = runner
+                .run_workloads_scaled(&platform, "lenet5", &work, c)
+                .map(|r| r.total_latency);
+            match &scaled {
+                Err(CoreError::BadConfig { reason }) => assert!(reason.contains("share"), "{what}"),
+                other => panic!("{what}: {other:?}"),
+            }
+            assert_eq!(plan.latency(c), scaled, "{what}");
+            assert_eq!(
+                table.latencies(c, &[stream]),
+                scaled.map(|t| vec![t]),
+                "{what}"
+            );
+        }
+    }
+}
+
+/// [`HORIZON`] bounds each stream, not the table: three one-layer
+/// streams that each run for 0.6 of it time on one table without
+/// overflow, and only the stream of all three fails, as its execution
+/// does.
+#[test]
+fn the_horizon_bounds_each_stream_not_the_table() {
+    let cfg = PlatformConfig::paper_table1();
+    let runner = Runner::new(cfg.clone());
+    let layers = [768, 769, 770].map(|k| gemm("proj", 1, 768, k, 1));
+    for platform in PLATFORMS {
+        let mut table = runner.shape_table(&platform).expect("valid config");
+        let alone: Vec<usize> = layers
+            .iter()
+            .map(|w| table.add_stream(std::slice::from_ref(w)).expect("adds"))
+            .collect();
+        let together = table.add_stream(&layers).expect("adds");
+        let slowest = alone
+            .iter()
+            .map(|&s| {
+                let report = table.execute(s, &ContentionModel::uncontended());
+                report.expect("runs").layers[0].compute_s
+            })
+            .fold(0.0, f64::max);
+        let c = ContentionModel::uniform(slowest / (0.6 * HORIZON.as_secs_f64()))
+            .with_bandwidth_share(1.0);
+        let executed = |s: usize| table.execute(s, &c).map(|r| r.total_latency);
+        let timed = table.latencies(&c, &alone).expect("each stream fits");
+        for (&s, &t) in alone.iter().zip(&timed) {
+            assert_eq!(Ok(t), executed(s), "{platform:?}");
+            assert!(t > HORIZON / 2, "{platform:?}: {t}");
+        }
+        assert!(executed(together).is_err(), "{platform:?}");
+        assert_eq!(
+            table.latencies(&c, &[together]),
+            executed(together).map(|t| vec![t]),
+            "{platform:?}"
+        );
     }
 }
 

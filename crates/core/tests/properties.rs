@@ -248,4 +248,83 @@ proptest! {
             }
         }
     }
+
+    /// One `ShapeTable` over random streams drawn from a shared pool of
+    /// layer shapes times every stream of a random selection (repeats
+    /// and any order allowed) as that stream's own `RunPlan` and
+    /// execution do, to the picosecond, under every interposer policy,
+    /// with free and pinned placement, at skewed shares. The streams
+    /// share shapes but not transitions, so on the photonic interposer
+    /// under ReSiPI each stream's stall chain must start from the boot
+    /// set, not from where another stream's left off.
+    #[test]
+    fn shape_table_latencies_are_exact(
+        model in random_cnn(),
+        streams in proptest::collection::vec(
+            proptest::collection::vec(0usize..64, 1..12),
+            1..6,
+        ),
+        selection in proptest::collection::vec(0usize..64, 1..8),
+        shares in (0.02f64..1.0, 0.02f64..1.0, 0.02f64..1.0),
+        uncontended in prop::bool::ANY,
+    ) {
+        let (compute_share, conv3_share, bandwidth_share) = shares;
+        let base = PlatformConfig::paper_table1();
+        let pool = extract_workloads(&model, base.precision);
+        let streams: Vec<Vec<LayerWorkload>> = streams
+            .iter()
+            .map(|picks| picks.iter().map(|&i| pool[i % pool.len()].clone()).collect())
+            .collect();
+        let selection: Vec<usize> = selection.iter().map(|&i| i % streams.len()).collect();
+        let contention = if uncontended {
+            ContentionModel::uncontended()
+        } else {
+            ContentionModel::uniform(compute_share)
+                .with_unit_share(MacClass::Conv3, conv3_share)
+                .with_bandwidth_share(bandwidth_share)
+        };
+        let placements = [
+            PlacementPolicy::unrestricted(),
+            PlacementPolicy::unrestricted()
+                .pin(MacClass::Conv5, vec![3])
+                .pin(MacClass::Dense100, vec![0]),
+        ];
+        for policy in [
+            ReconfigPolicy::ResipiGateways,
+            ReconfigPolicy::ProwavesWavelengths,
+            ReconfigPolicy::StaticFull,
+            ReconfigPolicy::StaticMin,
+        ] {
+            let mut cfg = base.clone();
+            cfg.phnet.policy = policy;
+            for placement in &placements {
+                let runner = Runner::new(cfg.clone()).with_placement(placement.clone());
+                for platform in Platform::all() {
+                    let mut table = runner.shape_table(&platform).expect("valid config");
+                    for work in &streams {
+                        table.add_stream(work).expect("valid stream adds");
+                    }
+                    let timed = table
+                        .latencies(&contention, &selection)
+                        .expect("valid streams time");
+                    for (&s, &latency) in selection.iter().zip(&timed) {
+                        let plan = runner
+                            .plan(&platform, "stream", &streams[s])
+                            .expect("valid stream plans");
+                        let executed = plan.execute(&contention).expect("valid stream runs");
+                        prop_assert_eq!(
+                            (Ok(latency), latency),
+                            (plan.latency(&contention), executed.total_latency),
+                            "stream {} of {:?}: {} {:?} {:?}",
+                            s,
+                            selection,
+                            platform,
+                            policy,
+                            placement
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -7,21 +7,22 @@
 //! ([`ContentionModel::of_resident_streams`]). Rather than
 //! re-simulating a stream every time the residency changes, the
 //! profile tabulates each model's latency at every contention level
-//! `1..=max_concurrency` up front — each stream placed once
-//! ([`Runner::plan`]) and timed per level, which is
+//! `1..=max_concurrency` up front, which is
 //! [`Runner::run_workloads_scaled`]'s total latency cell for cell; the
 //! event loop then advances each resident stream's remaining-work
 //! fraction at the rate the current residency implies.
 //!
-//! A profile keeps one report's worth of energy and bits per stage:
-//! the isolated (`k = 1`) run's, which time-sharing conserves. So only
-//! that cell of each stage runs [`RunPlan::execute`]. Every other cell
-//! is read for its latency alone and comes from [`RunPlan::latency`],
-//! the closed form that times each layer shape once and is `execute`'s
-//! total latency to the picosecond: the uniform column at `k >= 2`,
-//! every continuous-batching cell (a batched plane's energy is never
-//! read, since a request's energy is its isolated stages'), and every
-//! off-diagonal flow-level cell.
+//! Each model's streams share one [`ShapeTable`], which places each
+//! distinct layer shape once. A profile keeps one report's worth of
+//! energy and bits per stage: the isolated (`k = 1`) run's, which
+//! time-sharing conserves. So only that cell of each stage runs
+//! [`ShapeTable::execute`]. Every other cell is read for its latency
+//! alone and comes from [`ShapeTable::latencies`], the closed form that
+//! is `execute`'s total latency to the picosecond and times each
+//! distinct shape of a contention row's streams once: the uniform
+//! column at `k >= 2`, every continuous-batching cell (a batched
+//! plane's energy is never read, since a request's energy is its
+//! isolated stages'), and every off-diagonal flow-level cell.
 //!
 //! A model is a sequence of **stages** — one for a single-pass
 //! inference, prefill plus one stage per generated token for a
@@ -36,15 +37,16 @@
 //! uniform discipline's exact table lookups stay bit-for-bit intact.
 //!
 //! [`SharePolicy::SloPressure`]: lumos_dse::SharePolicy::SloPressure
-//! [`RunPlan::execute`]: lumos_core::RunPlan::execute
-//! [`RunPlan::latency`]: lumos_core::RunPlan::latency
+//! [`ShapeTable`]: lumos_core::ShapeTable
+//! [`ShapeTable::execute`]: lumos_core::ShapeTable::execute
+//! [`ShapeTable::latencies`]: lumos_core::ShapeTable::latencies
 
 use lumos_core::contention::ContentionModel;
 use lumos_core::flow::{FlowRoute, FlowTopology};
 use lumos_core::mac::MacUnit;
-use lumos_core::{MacClass, Platform, Runner};
-use lumos_dnn::LayerWorkload;
+use lumos_core::{CoreError, MacClass, Platform, Runner};
 use lumos_dse::ContentionKind;
+use lumos_sim::SimTime;
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
@@ -303,56 +305,69 @@ pub struct ServiceProfiles {
     pub flow: Option<FlowModel>,
 }
 
-/// One independently tabulated workload stream of a model: a stage as
-/// lowered, or a decode step re-lowered with `b ≥ 2` generations
-/// coalesced (a continuous-batching plane entry).
-enum Stream<'m> {
-    Stage(usize, &'m [LayerWorkload]),
-    Batched { step: usize, b: usize },
+/// One tabulation job of a model: a stage's isolated run, or a
+/// contention row.
+#[derive(Clone, Copy)]
+enum Job {
+    Stage(usize),
+    Row(usize),
 }
 
-/// What tabulating one [`Stream`] yields: latencies and the terms the
-/// model totals fold in, never whole reports, so a pool of jobs stays
-/// small.
-struct StreamCells {
-    /// Latency at uniform share `1/k`, `k = 1..=depth`, seconds.
-    column: Vec<f64>,
-    /// Flow-level plane `[k-1][j-1]` (stages under
-    /// [`ContentionKind::FlowLevel`] only; empty otherwise).
-    plane: Vec<Vec<f64>>,
-    /// Energy of the `k = 1` run, joules (stage streams only; zero for
-    /// a batched stream, whose energy no total reads).
-    energy_j: f64,
-    /// Bits the `k = 1` run moved (stage streams only).
-    bits: u64,
-    /// Per MAC class ([`MacClass::all`] order), the unit-seconds of each
-    /// placement share of that class, in placement order (stages only).
-    /// Kept term by term: the model total adds them one at a time, so
-    /// its rounding is that of a sequential build.
-    unit_seconds: [Vec<f64>; 4],
-    /// Every placement's chiplets, in placement order (flow-level
-    /// stages only).
-    chiplets: Vec<usize>,
+/// What one tabulation job of a model yields: latencies and the terms
+/// the model totals fold in, never whole reports, so a pool of jobs
+/// stays small.
+enum Cells {
+    /// Stage `stage`'s isolated (`k = 1`) run: its latency, seconds,
+    /// and the energy and bits the model totals fold in.
+    Stage {
+        stage: usize,
+        latency: f64,
+        energy_j: f64,
+        bits: u64,
+    },
+    /// Contention row `k`: the latency at uniform share `1/k` of every
+    /// stream of the row, in row order, seconds; and on flow-level
+    /// builds, per off-diagonal bandwidth share `1/j` (`j = 1..=K`,
+    /// `j != k`), every stage's latency at compute share `1/k`.
+    Row {
+        k: usize,
+        column: Vec<f64>,
+        plane: Vec<Vec<f64>>,
+    },
 }
 
 /// Builds the service profiles for `cfg` by running every stage of
 /// every model through the platform simulator at every contention
 /// level.
 ///
-/// Each stream (a stage, or a decode step at batch depth `b ≥ 2`) is
-/// placed once ([`Runner::plan`]) and timed at every contention cell
-/// it needs. A stage's `k = 1` cell runs
-/// [`RunPlan::execute`](lumos_core::RunPlan::execute), because its
-/// energy and bits are the model's per-request totals; every other
-/// cell, batched `k = 1` cells included, reads only a latency and runs
-/// the closed form [`RunPlan::latency`](lumos_core::RunPlan::latency),
-/// which equals the executed total latency bit for bit. A GPT-2
-/// generator of 13 stages, `K = 16` and `continuous(4)` then makes 13
-/// executes and 699 closed-form cells per platform. A model's streams
-/// are tabulated in parallel on
-/// [`lumos_dse::available_threads`] workers; results come back in
-/// stream order and are folded in that order, so the profiles do not
-/// depend on the thread count.
+/// Each model's streams go into one [`ShapeTable`]: its stages, then
+/// (continuous batching) each decode step re-lowered at every batch
+/// depth `b = 2..=max_batch`, one at a time, each dropped once added.
+/// The table places each distinct layer shape once. Then one job per
+/// stage runs [`ShapeTable::execute`] at `k = 1`, because that run's
+/// energy and bits are the model's per-request totals, and one job per
+/// contention row `k` runs [`ShapeTable::latencies`] over every stream
+/// tabulated that deep (stages to `K`, a `b`-deep batched step to
+/// `K - b + 1`; a stage's `k = 1` cell is its stage job's), plus, on
+/// flow-level builds, the row's off-diagonal plane cells. The closed
+/// form equals the executed total latency bit for bit and simulates
+/// each distinct shape of its streams once. A GPT-2 generator of 13
+/// stages and 36 re-lowered decode steps (190 distinct shapes),
+/// `K = 16` and `continuous(4)` then makes 13 executes and 16 row jobs
+/// per platform, 29 backends and 2,858 shape simulations, where
+/// tabulating each stream on its own made 712 and 8,336.
+///
+/// A model's jobs run on [`lumos_dse::available_threads`] workers, but
+/// never more than the model has streams: a one-stream model (every
+/// CNN) tabulates on the calling thread. (A second worker made the
+/// benchmark's flow-level CNN mix 13% faster per pass on a 2-vCPU
+/// host, but raised its peak RSS by 21%.) Results come back in job
+/// order and are folded in stream order, term by term, so the
+/// profiles, and any error, do not depend on the thread count.
+///
+/// [`ShapeTable`]: lumos_core::ShapeTable
+/// [`ShapeTable::execute`]: lumos_core::ShapeTable::execute
+/// [`ShapeTable::latencies`]: lumos_core::ShapeTable::latencies
 ///
 /// # Errors
 ///
@@ -379,7 +394,6 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
     let flow = flow_topology.is_some();
     let mut flow_routes = Vec::new();
     let k_max = cfg.max_concurrency;
-    let threads = lumos_dse::available_threads();
 
     let mut models = Vec::with_capacity(cfg.models.len());
     for m in &cfg.models {
@@ -397,136 +411,149 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
         } else {
             1
         };
-        let streams: Vec<Stream> = m
-            .stages()
-            .enumerate()
-            .map(|(si, stage)| Stream::Stage(si, stage))
-            .chain((2..=max_b).flat_map(|b| {
-                (0..m.decode_steps.len()).map(move |step| Stream::Batched { step, b })
-            }))
+        let n_stages = m.n_stages();
+        let n_steps = m.decode_steps.len();
+        // Streams `0..n_stages` are the stages; batched step `step` at
+        // depth `b` is stream `n_stages + (b - 2) * n_steps + step`.
+        let mut table = runner.shape_table(&cfg.platform)?;
+        for stage in m.stages() {
+            table.add_stream(stage)?;
+        }
+        for b in 2..=max_b {
+            for step in 0..n_steps {
+                let relowered = m
+                    .decode_step_at_batch(step, b as u32)
+                    .expect("only generators get batched streams");
+                table.add_stream(&relowered)?;
+            }
+        }
+        let n_streams = table.streams();
+        // A stream's contention depth: K for a stage, K - b + 1 for a
+        // decode step batched b deep.
+        let depth = |stream: usize| match stream.checked_sub(n_stages) {
+            None => k_max,
+            Some(batched) => k_max + 1 - (2 + batched / n_steps),
+        };
+        // Row k's streams: every one tabulated that deep, but for the
+        // stages' k = 1 cells, which their stage jobs give.
+        let rows: Vec<Vec<usize>> = (1..=k_max)
+            .map(|k| {
+                let first = if k == 1 { n_stages } else { 0 };
+                (first..n_streams).filter(|&s| depth(s) >= k).collect()
+            })
             .collect();
+        let stage_ids: Vec<usize> = (0..n_stages).collect();
 
-        let tabulate = |stream: &Stream| -> Result<StreamCells, ServeError> {
-            let relowered;
-            let (label, workloads, depth) = match *stream {
-                Stream::Stage(0, stage) => (m.name.clone(), stage, k_max),
-                Stream::Stage(si, stage) => (format!("{} [step {si}]", m.name), stage, k_max),
-                Stream::Batched { step, b } => {
-                    relowered = m
-                        .decode_step_at_batch(step, b as u32)
-                        .expect("only generators get batched streams");
-                    let label = format!("{} [step {step} x{b}]", m.name);
-                    (label, relowered.as_slice(), k_max - b + 1)
+        let jobs: Vec<Job> = (0..n_stages)
+            .map(Job::Stage)
+            .chain((1..=k_max).map(Job::Row))
+            .collect();
+        let tabulate = |&job: &Job| -> Result<Cells, CoreError> {
+            let k = match job {
+                Job::Stage(stage) => {
+                    let report = table.execute(stage, &ContentionModel::uncontended())?;
+                    return Ok(Cells::Stage {
+                        stage,
+                        latency: report.total_latency.as_secs_f64(),
+                        energy_j: report.energy.total_j(),
+                        bits: report.bits_moved,
+                    });
                 }
+                Job::Row(k) => k,
             };
-            let plan = runner.plan(&cfg.platform, &label, workloads)?;
-            let mut cells = StreamCells {
-                column: Vec::with_capacity(depth),
-                plane: Vec::new(),
-                energy_j: 0.0,
-                bits: 0,
-                unit_seconds: Default::default(),
-                chiplets: Vec::new(),
+            let secs = |cells: Vec<SimTime>| cells.iter().map(|t| t.as_secs_f64()).collect();
+            let row = &rows[k - 1];
+            let column = if row.is_empty() {
+                Vec::new()
+            } else {
+                secs(table.latencies(&ContentionModel::of_resident_streams(k), row)?)
             };
-            let stage = matches!(stream, Stream::Stage(..));
-            for k in 1..=depth {
-                let contention = ContentionModel::of_resident_streams(k);
-                let latency = if stage && k == 1 {
-                    // The one cell whose energy and bits the model
-                    // totals fold in.
-                    let report = plan.execute(&contention)?;
-                    cells.energy_j = report.energy.total_j();
-                    cells.bits = report.bits_moved;
-                    report.total_latency
-                } else {
-                    plan.latency(&contention)?
-                };
-                cells.column.push(latency.as_secs_f64());
-            }
-            if !stage {
-                return Ok(cells);
-            }
-
             // Flow-level plane: compute share 1/k × bandwidth share
-            // 1/j. The diagonal j = k is the uniform column above,
-            // copied bit-for-bit (identical ContentionModel), which is
-            // what makes the degenerate all-bottlenecks-shared case
+            // 1/j. The diagonal j = k is the uniform column, copied
+            // bit-for-bit (identical ContentionModel) in the fold, which
+            // is what makes the degenerate all-bottlenecks-shared case
             // reproduce the uniform simulator exactly.
+            let mut plane = Vec::new();
             if flow {
-                for k in 1..=k_max {
-                    let mut col = Vec::with_capacity(k_max);
-                    for j in 1..=k_max {
-                        col.push(if j == k {
-                            cells.column[k - 1]
-                        } else {
-                            let contention = ContentionModel::uniform(1.0 / k as f64)
-                                .with_bandwidth_share(1.0 / j as f64);
-                            plan.latency(&contention)?.as_secs_f64()
-                        });
-                    }
-                    cells.plane.push(col);
+                for j in (1..=k_max).filter(|&j| j != k) {
+                    let contention = ContentionModel::uniform(1.0 / k as f64)
+                        .with_bandwidth_share(1.0 / j as f64);
+                    plane.push(secs(table.latencies(&contention, &stage_ids)?));
                 }
             }
+            Ok(Cells::Row { k, column, plane })
+        };
+        let threads = lumos_dse::available_threads().min(n_streams);
+        let results = lumos_dse::parallel_map(&jobs, threads, tabulate);
 
-            for placement in plan.placements() {
+        // Fold the cells into the columns and the model totals in stream
+        // order: term by term, exactly the sequential sums.
+        let mut columns: Vec<Vec<f64>> = (0..n_streams)
+            .map(|s| Vec::with_capacity(depth(s)))
+            .collect();
+        let mut flow_stages: Vec<Vec<Vec<f64>>> = Vec::new();
+        if flow {
+            flow_stages.resize(n_stages, Vec::with_capacity(k_max));
+        }
+        let mut energy_j = 0.0;
+        let mut bits = 0u64;
+        for cells in results {
+            match cells? {
+                Cells::Stage {
+                    stage,
+                    latency,
+                    energy_j: e,
+                    bits: b,
+                } => {
+                    columns[stage].push(latency);
+                    energy_j += e;
+                    bits += b;
+                }
+                Cells::Row { k, column, plane } => {
+                    for (&s, latency) in rows[k - 1].iter().zip(column) {
+                        columns[s].push(latency);
+                    }
+                    for (s, plane_rows) in flow_stages.iter_mut().enumerate() {
+                        let mut off = plane.iter().map(|cells| cells[s]);
+                        plane_rows.push(
+                            (1..=k_max)
+                                .map(|j| {
+                                    if j == k {
+                                        columns[s][k - 1]
+                                    } else {
+                                        off.next().expect("one cell per j != k")
+                                    }
+                                })
+                                .collect(),
+                        );
+                    }
+                }
+            }
+        }
+        let mut class_unit_seconds = [0.0f64; 4];
+        let mut model_chiplets: Vec<usize> = Vec::new();
+        for stage in 0..n_stages {
+            for placement in table.placements(stage) {
                 for share in &placement.shares {
                     let unit = MacUnit::new(share.class, calib);
                     // passes / rate = unit-seconds of demand, independent
                     // of how many units (or what fraction) execute it.
-                    cells.unit_seconds[share.class.index()]
-                        .push(share.passes as f64 / unit.passes_per_second());
+                    class_unit_seconds[share.class.index()] +=
+                        share.passes as f64 / unit.passes_per_second();
                 }
                 if flow {
-                    cells.chiplets.extend_from_slice(&placement.chiplets);
-                }
-            }
-            Ok(cells)
-        };
-
-        let mut stages = Vec::with_capacity(m.n_stages());
-        let mut flow_stages = Vec::new();
-        let mut batched_planes: Vec<Vec<Vec<f64>>> = Vec::new();
-        let mut energy_j = 0.0;
-        let mut bits = 0u64;
-        let mut class_unit_seconds = [0.0f64; 4];
-        let mut model_chiplets: Vec<usize> = Vec::new();
-        // Fold every stream's cells into the model totals in stream
-        // order — term by term, exactly the sequential sums.
-        for (stream, cells) in streams
-            .iter()
-            .zip(lumos_dse::parallel_map(&streams, threads, tabulate))
-        {
-            let cells = cells?;
-            match *stream {
-                Stream::Stage(..) => {
-                    energy_j += cells.energy_j;
-                    bits += cells.bits;
-                    for (total, terms) in class_unit_seconds.iter_mut().zip(cells.unit_seconds) {
-                        for unit_s in terms {
-                            *total += unit_s;
-                        }
-                    }
-                    model_chiplets.extend(cells.chiplets);
-                    if flow {
-                        flow_stages.push(cells.plane);
-                    }
-                    stages.push(cells.column);
-                }
-                Stream::Batched { step, b } => {
-                    if step == 0 {
-                        batched_planes.push(Vec::with_capacity(m.decode_steps.len()));
-                    }
-                    debug_assert_eq!(batched_planes.len(), b - 1);
-                    batched_planes[b - 2].push(cells.column);
+                    model_chiplets.extend_from_slice(&placement.chiplets);
                 }
             }
         }
         if let Some(topo) = &flow_topology {
             flow_routes.push(topo.route_for_chiplets(&model_chiplets));
         }
+        let mut batched_columns = columns.split_off(n_stages).into_iter();
+        let stages = columns;
         let batched = if batching {
             let mut planes = vec![stages[1..].to_vec()];
-            planes.extend(batched_planes);
+            planes.extend((2..=max_b).map(|_| batched_columns.by_ref().take(n_steps).collect()));
             planes
         } else {
             Vec::new()

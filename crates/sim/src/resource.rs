@@ -46,7 +46,12 @@ pub struct Grant {
 }
 
 impl BandwidthServer {
-    /// Creates a server with the given rate in Gb/s (resolution 1 Mb/s).
+    /// The rate resolution, Gb/s: rates are kept in whole Mb/s, and a
+    /// rate below one Mb/s runs at one.
+    pub const RESOLUTION_GBPS: f64 = 1e-3;
+
+    /// Creates a server with the given rate in Gb/s (resolution
+    /// [`RESOLUTION_GBPS`](Self::RESOLUTION_GBPS)).
     ///
     /// # Panics
     ///

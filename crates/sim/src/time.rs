@@ -116,6 +116,13 @@ impl SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 
+    /// Checked addition: `None` where the sum would pass
+    /// [`SimTime::MAX`].
+    #[inline]
+    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
+        self.0.checked_add(rhs.0).map(SimTime)
+    }
+
     /// The later of two instants.
     #[inline]
     pub fn max(self, other: SimTime) -> SimTime {
@@ -291,6 +298,8 @@ mod tests {
         assert_eq!((a / 2).as_ps(), 5_000);
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
         assert_eq!(SimTime::MAX.saturating_add(a), SimTime::MAX);
+        assert_eq!(a.checked_add(b), Some(a + b));
+        assert_eq!(SimTime::MAX.checked_add(SimTime::from_ps(1)), None);
     }
 
     #[test]
