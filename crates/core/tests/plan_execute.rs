@@ -20,7 +20,7 @@ use lumos_core::contention::ContentionModel;
 use lumos_core::dse::StableHasher;
 use lumos_core::flow::{max_min_shares, FlowTopology};
 use lumos_core::mapper::PlacementPolicy;
-use lumos_core::runner::HORIZON;
+use lumos_core::runner::{HORIZON, MIN_LINK_GBPS};
 use lumos_core::{CoreError, MacClass, Platform, PlatformConfig, RunReport, Runner};
 use lumos_dnn::workload::{extract_workloads, KernelClass, LayerWorkload};
 use lumos_dnn::zoo;
@@ -359,20 +359,21 @@ fn table_latencies_are_each_streams_latency_bitwise() {
                         runner.plan(&platform, name, work).expect("stream plans")
                     })
                     .collect();
-                let contentions = contentions(&cfg, platform);
-                for (i, c) in contentions
-                    .iter()
-                    .chain(&off_diagonal)
-                    .chain([&zero])
-                    .enumerate()
-                {
+                let models: Vec<ContentionModel> = contentions(&cfg, platform)
+                    .into_iter()
+                    .chain(off_diagonal.iter().cloned())
+                    .chain([zero.clone()])
+                    .collect();
+                // executed[m][s]: stream s's executed total under model m.
+                let mut executed = Vec::new();
+                for (i, c) in models.iter().enumerate() {
                     let what = format!("{config} {platform:?} #{i} {policy:?}");
-                    let executed: Vec<_> = plans
+                    let model: Vec<_> = plans
                         .iter()
                         .map(|plan| plan.execute(c).map(|r| r.total_latency))
                         .collect();
                     for (s, plan) in plans.iter().enumerate() {
-                        assert_eq!(plan.latency(c), executed[s], "{what} {}", streams[s].0);
+                        assert_eq!(plan.latency(c), model[s], "{what} {}", streams[s].0);
                         // The table's own execution is the plan's but
                         // for names.
                         let (planned, tabled) = (plan.execute(c), table.execute(s, c));
@@ -386,28 +387,68 @@ fn table_latencies_are_each_streams_latency_bitwise() {
                             );
                         }
                     }
-                    for selection in &selections {
-                        let expected: Result<Vec<_>, _> =
-                            selection.iter().map(|&s| executed[s].clone()).collect();
-                        assert_eq!(
-                            table.latencies(c, selection),
-                            expected,
-                            "{what} {selection:?}"
-                        );
-                    }
                     let fails =
                         c == &zero || (config == "infeasible" && platform == Platform::Siph2p5D);
-                    assert_eq!(executed[0].is_err(), fails, "{what}");
+                    assert_eq!(model[0].is_err(), fails, "{what}");
+                    executed.push(model);
                 }
+                // One call per bandwidth share, over the models that
+                // share it, in order: each cell is its stream's executed
+                // total under its model, and the first failing cell
+                // (model by model, then stream by stream) gives the error.
+                let mut groups: Vec<Vec<usize>> = Vec::new();
+                for (m, c) in models.iter().enumerate() {
+                    let share = c.bandwidth_share().to_bits();
+                    match groups
+                        .iter_mut()
+                        .find(|g| models[g[0]].bandwidth_share().to_bits() == share)
+                    {
+                        Some(group) => group.push(m),
+                        None => groups.push(vec![m]),
+                    }
+                }
+                assert!(groups.iter().any(|g| g.len() >= 3), "{groups:?}");
+                for group in &groups {
+                    let grouped: Vec<ContentionModel> =
+                        group.iter().map(|&m| models[m].clone()).collect();
+                    for selection in &selections {
+                        let expected: Result<Vec<Vec<_>>, _> = group
+                            .iter()
+                            .map(|&m| selection.iter().map(|&s| executed[m][s].clone()).collect())
+                            .collect();
+                        assert_eq!(
+                            table.latencies(&grouped, selection),
+                            expected,
+                            "{config} {platform:?} {policy:?} models {group:?} {selection:?}"
+                        );
+                    }
+                }
+                // Two bandwidth shares in one call are an error naming
+                // both, as is any later model off the first one's share.
+                let mixed = [
+                    ContentionModel::uncontended(),
+                    ContentionModel::uncontended().with_unit_share(MacClass::Conv3, 0.5),
+                    ContentionModel::of_resident_streams(3),
+                ];
+                match table.latencies(&mixed, &[0]) {
+                    Err(CoreError::BadConfig { reason }) => {
+                        for share in ["1.0", &format!("{:?}", 1.0 / 3.0)] {
+                            assert!(reason.contains(share), "{reason}");
+                        }
+                    }
+                    other => panic!("{config} {platform:?}: {other:?}"),
+                }
+                assert_eq!(table.latencies(&[], &[0]), Ok(Vec::new()));
             }
         }
     }
 }
 
 /// Shares so small that a link would run below a link server's 1 Mb/s
-/// resolution, or the run's clock past [`HORIZON`], are configuration
-/// errors on every path: not a panic (debug builds) nor a wrapped or
-/// silently clamped latency (release builds).
+/// resolution (and so below [`MIN_LINK_GBPS`]), or the run's clock
+/// past [`HORIZON`], are configuration errors on every path: not a
+/// panic (debug builds) nor a wrapped or silently clamped latency
+/// (release builds).
 #[test]
 fn tiny_shares_are_errors_not_panics() {
     let cfg = PlatformConfig::paper_table1();
@@ -438,10 +479,72 @@ fn tiny_shares_are_errors_not_panics() {
             }
             assert_eq!(plan.latency(c), scaled, "{what}");
             assert_eq!(
-                table.latencies(c, &[stream]),
-                scaled.map(|t| vec![t]),
+                table.latencies(std::slice::from_ref(c), &[stream]),
+                scaled.map(|t| vec![vec![t]]),
                 "{what}"
             );
+        }
+    }
+}
+
+/// Bandwidth shares that derate a link below [`MIN_LINK_GBPS`] (50
+/// Mb/s), where a link server's rounding to whole Mb/s would move its
+/// rate by more than 1%, are configuration errors on every path. With
+/// only a 1 Mb/s floor, LeNet5 on the electrical mesh read one latency
+/// at every bandwidth share from 4e-6 to 5.5e-6 and half of it at 6e-6,
+/// monolithic one latency at 4.5e-6 and 5e-6, and a share of 1e-4
+/// derated the photonic interposer's 12 Gb/s wavelengths to 1.2 Mb/s.
+/// Those wavelengths reach the floor at a share of 1/240, so the
+/// interposer times at most 240 uniform residents; that share and the
+/// smallest the properties draw (0.02) still run everywhere.
+#[test]
+fn shares_a_link_server_would_round_are_errors() {
+    let cfg = PlatformConfig::paper_table1();
+    let runner = Runner::new(cfg.clone());
+    let work = extract_workloads(&zoo::lenet5(), cfg.precision);
+    let coarse = [
+        (Platform::Elec2p5D, &[4e-6, 4.5e-6, 5e-6, 5.5e-6, 6e-6][..]),
+        (Platform::Monolithic, &[4.5e-6, 5e-6]),
+        (Platform::Siph2p5D, &[1e-4, 1.0 / 241.0]),
+    ];
+    for (platform, shares) in coarse {
+        let plan = runner
+            .plan(&platform, "lenet5", &work)
+            .expect("lenet5 plans");
+        let mut table = runner.shape_table(&platform).expect("valid config");
+        let stream = table.add_stream(&work).expect("lenet5 adds");
+        for &share in shares {
+            let c = ContentionModel::uncontended().with_bandwidth_share(share);
+            let what = format!("{platform:?} at bandwidth share {share:e}");
+            let scaled = runner
+                .run_workloads_scaled(&platform, "lenet5", &work, &c)
+                .map(|r| r.total_latency);
+            match &scaled {
+                Err(CoreError::BadConfig { reason }) => assert!(
+                    reason.contains("whole Mb/s")
+                        && reason.contains(&format!("{share:?}"))
+                        && reason.contains(&MIN_LINK_GBPS.to_string()),
+                    "{what}: {reason}"
+                ),
+                other => panic!("{what}: {other:?}"),
+            }
+            assert_eq!(plan.latency(&c), scaled, "{what}");
+            assert_eq!(
+                table.latencies(std::slice::from_ref(&c), &[stream]),
+                scaled.map(|t| vec![vec![t]]),
+                "{what}"
+            );
+        }
+    }
+    for platform in PLATFORMS {
+        let plan = runner
+            .plan(&platform, "lenet5", &work)
+            .expect("lenet5 plans");
+        for share in [1.0 / 240.0, 0.02] {
+            let c = ContentionModel::uniform(share);
+            let executed = plan.execute(&c).map(|r| r.total_latency);
+            assert!(executed.is_ok(), "{platform:?} at {share:e}: {executed:?}");
+            assert_eq!(plan.latency(&c), executed, "{platform:?} at {share:e}");
         }
     }
 }
@@ -472,15 +575,17 @@ fn the_horizon_bounds_each_stream_not_the_table() {
         let c = ContentionModel::uniform(slowest / (0.6 * HORIZON.as_secs_f64()))
             .with_bandwidth_share(1.0);
         let executed = |s: usize| table.execute(s, &c).map(|r| r.total_latency);
-        let timed = table.latencies(&c, &alone).expect("each stream fits");
-        for (&s, &t) in alone.iter().zip(&timed) {
+        let timed = table
+            .latencies(std::slice::from_ref(&c), &alone)
+            .expect("each stream fits");
+        for (&s, &t) in alone.iter().zip(&timed[0]) {
             assert_eq!(Ok(t), executed(s), "{platform:?}");
             assert!(t > HORIZON / 2, "{platform:?}: {t}");
         }
         assert!(executed(together).is_err(), "{platform:?}");
         assert_eq!(
-            table.latencies(&c, &[together]),
-            executed(together).map(|t| vec![t]),
+            table.latencies(std::slice::from_ref(&c), &[together]),
+            executed(together).map(|t| vec![vec![t]]),
             "{platform:?}"
         );
     }

@@ -305,9 +305,9 @@ proptest! {
                         table.add_stream(work).expect("valid stream adds");
                     }
                     let timed = table
-                        .latencies(&contention, &selection)
+                        .latencies(std::slice::from_ref(&contention), &selection)
                         .expect("valid streams time");
-                    for (&s, &latency) in selection.iter().zip(&timed) {
+                    for (&s, &latency) in selection.iter().zip(&timed[0]) {
                         let plan = runner
                             .plan(&platform, "stream", &streams[s])
                             .expect("valid stream plans");
@@ -322,6 +322,85 @@ proptest! {
                             policy,
                             placement
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// One `ShapeTable::latencies` call times a grid of one to six
+    /// contention models that share a bandwidth share, each with its
+    /// own random unit share per MAC class, cell for cell as one-model
+    /// calls and executions do, to the picosecond: on every platform
+    /// under every interposer policy, with free and pinned placement.
+    /// The models share each shape's link timing and add their own
+    /// compute spans, and under ReSiPI a layer's active set follows its
+    /// compute span, so a shape's link timing may be shared only by the
+    /// models that run it on the same set.
+    #[test]
+    fn grid_latencies_are_exact(
+        model in random_cnn(),
+        streams in proptest::collection::vec(
+            proptest::collection::vec(0usize..64, 1..12),
+            1..4,
+        ),
+        units in proptest::collection::vec(
+            (0.02f64..1.0, 0.02f64..1.0, 0.02f64..1.0, 0.02f64..1.0),
+            1..=6,
+        ),
+        bandwidth_share in 0.02f64..1.0,
+    ) {
+        let base = PlatformConfig::paper_table1();
+        let pool = extract_workloads(&model, base.precision);
+        let streams: Vec<Vec<LayerWorkload>> = streams
+            .iter()
+            .map(|picks| picks.iter().map(|&i| pool[i % pool.len()].clone()).collect())
+            .collect();
+        let selection: Vec<usize> = (0..streams.len()).collect();
+        let grid: Vec<ContentionModel> = units
+            .iter()
+            .map(|&(dense, conv7, conv5, conv3)| {
+                MacClass::all().into_iter().zip([dense, conv7, conv5, conv3]).fold(
+                    ContentionModel::uncontended().with_bandwidth_share(bandwidth_share),
+                    |model, (class, share)| model.with_unit_share(class, share),
+                )
+            })
+            .collect();
+        let placements = [
+            PlacementPolicy::unrestricted(),
+            PlacementPolicy::unrestricted()
+                .pin(MacClass::Conv5, vec![3])
+                .pin(MacClass::Dense100, vec![0]),
+        ];
+        for policy in [
+            ReconfigPolicy::ResipiGateways,
+            ReconfigPolicy::ProwavesWavelengths,
+            ReconfigPolicy::StaticFull,
+            ReconfigPolicy::StaticMin,
+        ] {
+            let mut cfg = base.clone();
+            cfg.phnet.policy = policy;
+            for placement in &placements {
+                let runner = Runner::new(cfg.clone()).with_placement(placement.clone());
+                for platform in Platform::all() {
+                    let mut table = runner.shape_table(&platform).expect("valid config");
+                    for work in &streams {
+                        table.add_stream(work).expect("valid stream adds");
+                    }
+                    let cells = table
+                        .latencies(&grid, &selection)
+                        .expect("valid streams time");
+                    prop_assert_eq!(cells.len(), grid.len());
+                    for (m, (contention, row)) in grid.iter().zip(&cells).enumerate() {
+                        let what = format!("model {m}: {platform} {policy:?} {placement:?}");
+                        let alone = table
+                            .latencies(std::slice::from_ref(contention), &selection)
+                            .expect("valid streams time");
+                        prop_assert_eq!(&alone[0], row, "{}", what);
+                        for (&s, &latency) in selection.iter().zip(row) {
+                            let executed = table.execute(s, contention).expect("valid stream runs");
+                            prop_assert_eq!(latency, executed.total_latency, "stream {}, {}", s, what);
+                        }
                     }
                 }
             }

@@ -337,7 +337,9 @@ pub struct ServeConfig {
     pub seed: u64,
     /// Resident streams time-sharing the platform at once; queued
     /// requests wait for a slot. Also the deepest contention level the
-    /// service profile is built for.
+    /// service profile is built for. A share of `1/K` must not derate a
+    /// link below `lumos_core::runner::MIN_LINK_GBPS`, or building the
+    /// profiles fails: Table 1's photonic interposer allows `K <= 240`.
     pub max_concurrency: usize,
     /// Multiplier on every model's `rate_rps` — the offered-load knob a
     /// saturation sweep turns.

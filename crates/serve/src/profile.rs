@@ -18,11 +18,15 @@
 //! time-sharing conserves. So only that cell of each stage runs
 //! [`ShapeTable::execute`]. Every other cell is read for its latency
 //! alone and comes from [`ShapeTable::latencies`], the closed form that
-//! is `execute`'s total latency to the picosecond and times each
-//! distinct shape of a contention row's streams once: the uniform
-//! column at `k >= 2`, every continuous-batching cell (a batched
-//! plane's energy is never read, since a request's energy is its
-//! isolated stages'), and every off-diagonal flow-level cell.
+//! is `execute`'s total latency to the picosecond: the uniform column
+//! at `k >= 2`, every continuous-batching cell (a batched plane's
+//! energy is never read, since a request's energy is its isolated
+//! stages'), and every flow-level plane cell. One call covers one
+//! bandwidth share: it simulates each distinct shape's links once (on
+//! the photonic interposer, once per active set) and adds each model's
+//! compute as `max(inbound, compute) + write-back`, so a flow-level
+//! plane column of `K` compute shares costs the link passes of one
+//! cell, and a `K × K` plane `K` link passes per shape.
 //!
 //! A model is a sequence of **stages** — one for a single-pass
 //! inference, prefill plus one stage per generated token for a
@@ -46,7 +50,6 @@ use lumos_core::flow::{FlowRoute, FlowTopology};
 use lumos_core::mac::MacUnit;
 use lumos_core::{CoreError, MacClass, Platform, Runner};
 use lumos_dse::ContentionKind;
-use lumos_sim::SimTime;
 
 use crate::config::ServeConfig;
 use crate::error::ServeError;
@@ -80,13 +83,15 @@ pub struct ModelProfile {
     /// `flow_stages[s][k-1][j-1]` is the latency of stage `s` at
     /// compute share `1/k` (its slice of the MAC units with `k`
     /// residents) and bandwidth share `1/j` (what max-min water-filling
-    /// allocated it on its bottleneck link), seconds. The diagonal
-    /// `j = k` is the uniform column of [`stages`](Self::stages),
-    /// copied bit-for-bit (identical [`ContentionModel`]); the event
-    /// loop looks up off-diagonal max-min shares through the same
-    /// share-space interpolation as weighted sharing. Empty unless the
-    /// profile was built with
-    /// [`ContentionKind::FlowLevel`].
+    /// allocated it on its bottleneck link), seconds. Column `j` comes
+    /// from one [`ShapeTable::latencies`] call. The diagonal `j = k` is
+    /// the uniform column of [`stages`](Self::stages) bit for bit
+    /// (identical [`ContentionModel`]); the event loop looks up
+    /// off-diagonal max-min shares through the same share-space
+    /// interpolation as weighted sharing. Empty unless the profile was
+    /// built with [`ContentionKind::FlowLevel`].
+    ///
+    /// [`ShapeTable::latencies`]: lumos_core::ShapeTable::latencies
     pub flow_stages: Vec<Vec<Vec<f64>>>,
     /// Energy of one isolated request across all stages, joules
     /// (time-sharing conserves the dynamic work; static power is
@@ -305,12 +310,12 @@ pub struct ServiceProfiles {
     pub flow: Option<FlowModel>,
 }
 
-/// One tabulation job of a model: a stage's isolated run, or a
-/// contention row.
+/// One tabulation job of a model: a stage's isolated run, or the cells
+/// of bandwidth share `1/j`.
 #[derive(Clone, Copy)]
 enum Job {
     Stage(usize),
-    Row(usize),
+    Share(usize),
 }
 
 /// What one tabulation job of a model yields: latencies and the terms
@@ -325,15 +330,12 @@ enum Cells {
         energy_j: f64,
         bits: u64,
     },
-    /// Contention row `k`: the latency at uniform share `1/k` of every
-    /// stream of the row, in row order, seconds; and on flow-level
-    /// builds, per off-diagonal bandwidth share `1/j` (`j = 1..=K`,
-    /// `j != k`), every stage's latency at compute share `1/k`.
-    Row {
-        k: usize,
-        column: Vec<f64>,
-        plane: Vec<Vec<f64>>,
-    },
+    /// Bandwidth share `1/j`: `cells[m][i]`, seconds, the latency of
+    /// the job's `i`-th stream under its `m`-th contention model. On
+    /// uniform builds, one model (`1/j` of everything) over contention
+    /// row `j`'s streams; on flow-level builds, compute share `1/k` for
+    /// `k = 1..=K` over every stage: column `j` of each stage's plane.
+    Share { j: usize, cells: Vec<Vec<f64>> },
 }
 
 /// Builds the service profiles for `cfg` by running every stage of
@@ -343,26 +345,37 @@ enum Cells {
 /// Each model's streams go into one [`ShapeTable`]: its stages, then
 /// (continuous batching) each decode step re-lowered at every batch
 /// depth `b = 2..=max_batch`, one at a time, each dropped once added.
-/// The table places each distinct layer shape once. Then one job per
-/// stage runs [`ShapeTable::execute`] at `k = 1`, because that run's
-/// energy and bits are the model's per-request totals, and one job per
-/// contention row `k` runs [`ShapeTable::latencies`] over every stream
-/// tabulated that deep (stages to `K`, a `b`-deep batched step to
-/// `K - b + 1`; a stage's `k = 1` cell is its stage job's), plus, on
-/// flow-level builds, the row's off-diagonal plane cells. The closed
-/// form equals the executed total latency bit for bit and simulates
-/// each distinct shape of its streams once. A GPT-2 generator of 13
-/// stages and 36 re-lowered decode steps (190 distinct shapes),
-/// `K = 16` and `continuous(4)` then makes 13 executes and 16 row jobs
-/// per platform, 29 backends and 2,858 shape simulations, where
-/// tabulating each stream on its own made 712 and 8,336.
+/// The table places each distinct layer shape once. Then a model runs
+/// these jobs, each a single table call:
+///
+/// * one per stage: [`ShapeTable::execute`] at `k = 1`, because that
+///   run's energy and bits are the model's per-request totals, and its
+///   latency is the stage's `k = 1` cell;
+/// * one per bandwidth share `1/j`, `j = 1..=K`:
+///   [`ShapeTable::latencies`]. On uniform builds that is contention
+///   row `j`: `1/j` of everything over every stream tabulated that deep
+///   (stages to `K`, a `b`-deep batched step to `K - b + 1`; a stage's
+///   `k = 1` cell is its stage job's). On flow-level builds it is plane
+///   column `j`: every stage at compute share `1/k` for `k = 1..=K`
+///   and bandwidth share `1/j`. Its `k = j` cell is the uniform
+///   column's (the same [`ContentionModel`], bit for bit), so no
+///   separate column call is made.
+///
+/// The closed form equals the executed total latency bit for bit and
+/// simulates each distinct shape's links once per call. A GPT-2
+/// generator of 13 stages and 36 re-lowered decode steps (190 distinct
+/// shapes), `K = 16` and `continuous(4)` then makes 13 executes and 16
+/// row calls per platform, 29 backends in all, where tabulating each
+/// stream on its own built 712. A flow-level build also makes
+/// `stages + K` calls, where one call per plane cell made
+/// `stages + K²`.
 ///
 /// A model's jobs run on [`lumos_dse::available_threads`] workers, but
 /// never more than the model has streams: a one-stream model (every
-/// CNN) tabulates on the calling thread. (A second worker made the
-/// benchmark's flow-level CNN mix 13% faster per pass on a 2-vCPU
-/// host, but raised its peak RSS by 21%.) Results come back in job
-/// order and are folded in stream order, term by term, so the
+/// CNN) tabulates on the calling thread, since each spawned worker
+/// grows the heap it leaves behind. Results come back in job order and
+/// are folded in that order, term by term, into the columns, the
+/// planes (`flow_stages[s][k-1][j-1]`) and the model totals, so the
 /// profiles, and any error, do not depend on the thread count.
 ///
 /// [`ShapeTable`]: lumos_core::ShapeTable
@@ -446,10 +459,10 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
 
         let jobs: Vec<Job> = (0..n_stages)
             .map(Job::Stage)
-            .chain((1..=k_max).map(Job::Row))
+            .chain((1..=k_max).map(Job::Share))
             .collect();
         let tabulate = |&job: &Job| -> Result<Cells, CoreError> {
-            let k = match job {
+            let j = match job {
                 Job::Stage(stage) => {
                     let report = table.execute(stage, &ContentionModel::uncontended())?;
                     return Ok(Cells::Stage {
@@ -459,41 +472,47 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
                         bits: report.bits_moved,
                     });
                 }
-                Job::Row(k) => k,
+                Job::Share(j) => j,
             };
-            let secs = |cells: Vec<SimTime>| cells.iter().map(|t| t.as_secs_f64()).collect();
-            let row = &rows[k - 1];
-            let column = if row.is_empty() {
+            // Flow-level plane column j: compute share 1/k × bandwidth
+            // share 1/j for every k, one bandwidth share, so one call.
+            // Its k = j cell is `of_resident_streams(j)`, the uniform
+            // column's model bit for bit, which is what makes the
+            // degenerate all-bottlenecks-shared case reproduce the
+            // uniform simulator exactly.
+            let (models, streams) = if flow {
+                let models = (1..=k_max)
+                    .map(|k| {
+                        ContentionModel::uniform(1.0 / k as f64)
+                            .with_bandwidth_share(1.0 / j as f64)
+                    })
+                    .collect();
+                (models, &stage_ids)
+            } else {
+                (vec![ContentionModel::of_resident_streams(j)], &rows[j - 1])
+            };
+            let cells = if streams.is_empty() {
                 Vec::new()
             } else {
-                secs(table.latencies(&ContentionModel::of_resident_streams(k), row)?)
+                table
+                    .latencies(&models, streams)?
+                    .iter()
+                    .map(|model| model.iter().map(|t| t.as_secs_f64()).collect())
+                    .collect()
             };
-            // Flow-level plane: compute share 1/k × bandwidth share
-            // 1/j. The diagonal j = k is the uniform column, copied
-            // bit-for-bit (identical ContentionModel) in the fold, which
-            // is what makes the degenerate all-bottlenecks-shared case
-            // reproduce the uniform simulator exactly.
-            let mut plane = Vec::new();
-            if flow {
-                for j in (1..=k_max).filter(|&j| j != k) {
-                    let contention = ContentionModel::uniform(1.0 / k as f64)
-                        .with_bandwidth_share(1.0 / j as f64);
-                    plane.push(secs(table.latencies(&contention, &stage_ids)?));
-                }
-            }
-            Ok(Cells::Row { k, column, plane })
+            Ok(Cells::Share { j, cells })
         };
         let threads = lumos_dse::available_threads().min(n_streams);
         let results = lumos_dse::parallel_map(&jobs, threads, tabulate);
 
-        // Fold the cells into the columns and the model totals in stream
-        // order: term by term, exactly the sequential sums.
+        // Fold the cells into the columns, the planes and the model
+        // totals in job order: term by term, exactly the sequential sums.
         let mut columns: Vec<Vec<f64>> = (0..n_streams)
             .map(|s| Vec::with_capacity(depth(s)))
             .collect();
         let mut flow_stages: Vec<Vec<Vec<f64>>> = Vec::new();
         if flow {
-            flow_stages.resize(n_stages, Vec::with_capacity(k_max));
+            flow_stages.resize(n_stages, vec![vec![0.0; k_max]; k_max]);
         }
         let mut energy_j = 0.0;
         let mut bits = 0u64;
@@ -509,23 +528,22 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
                     energy_j += e;
                     bits += b;
                 }
-                Cells::Row { k, column, plane } => {
-                    for (&s, latency) in rows[k - 1].iter().zip(column) {
-                        columns[s].push(latency);
+                Cells::Share { j, cells } if flow => {
+                    // Flow-level builds have no batched streams, so row
+                    // j is every stage but at j = 1, whose uniform cells
+                    // the stage jobs give.
+                    for (s, plane) in flow_stages.iter_mut().enumerate() {
+                        for (row, model) in plane.iter_mut().zip(&cells) {
+                            row[j - 1] = model[s];
+                        }
+                        if j > 1 {
+                            columns[s].push(cells[j - 1][s]);
+                        }
                     }
-                    for (s, plane_rows) in flow_stages.iter_mut().enumerate() {
-                        let mut off = plane.iter().map(|cells| cells[s]);
-                        plane_rows.push(
-                            (1..=k_max)
-                                .map(|j| {
-                                    if j == k {
-                                        columns[s][k - 1]
-                                    } else {
-                                        off.next().expect("one cell per j != k")
-                                    }
-                                })
-                                .collect(),
-                        );
+                }
+                Cells::Share { j, cells } => {
+                    for (&s, &latency) in rows[j - 1].iter().zip(cells.iter().flatten()) {
+                        columns[s].push(latency);
                     }
                 }
             }

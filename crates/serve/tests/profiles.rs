@@ -15,6 +15,7 @@ use lumos_core::mapper::place;
 use lumos_core::{MacClass, Platform, PlatformConfig, Runner};
 use lumos_dnn::workload::{KernelClass, LayerWorkload, Precision};
 use lumos_dse::{BatchPolicy, ContentionKind};
+use lumos_phnet::controller::ReconfigPolicy;
 use lumos_serve::profile::FlowModel;
 use lumos_serve::{build_profiles, ModelProfile, ServeConfig, ServedModel, ServiceProfiles};
 
@@ -195,27 +196,48 @@ fn lenet(rate_rps: f64) -> ServedModel {
 }
 
 /// Per-stream, continuous(4) and flow-level configurations on
-/// `platform`.
-fn configs(platform: Platform) -> Vec<(&'static str, ServeConfig)> {
+/// `platform`; on the photonic interposer also Table 2's CNNs at
+/// flow-level `K = 7` under each interposer policy. ReSiPI's active set
+/// follows a layer's compute span, so within one plane column (one
+/// bandwidth share) a shape can run on several sets.
+fn configs(platform: Platform) -> Vec<(String, ServeConfig)> {
     let base = |models| {
         ServeConfig::new(PlatformConfig::paper_table1(), platform, models).with_max_concurrency(5)
     };
-    vec![
+    let mut configs = vec![
         (
-            "per-stream",
+            "per-stream".to_owned(),
             base(vec![gpt2(50.0), lenet(500.0)]).with_batching(BatchPolicy::PerStream),
         ),
         (
-            "continuous(4)",
+            "continuous(4)".to_owned(),
             base(vec![gpt2(50.0)]).with_batching(BatchPolicy::continuous(4)),
         ),
         (
-            "flow-level",
+            "flow-level".to_owned(),
             base(vec![lenet(500.0), gpt2(50.0)])
                 .with_max_concurrency(4)
                 .with_contention(ContentionKind::FlowLevel),
         ),
-    ]
+    ];
+    if platform == Platform::Siph2p5D {
+        for policy in [
+            ReconfigPolicy::ResipiGateways,
+            ReconfigPolicy::ProwavesWavelengths,
+            ReconfigPolicy::StaticFull,
+            ReconfigPolicy::StaticMin,
+        ] {
+            let mut platform_cfg = PlatformConfig::paper_table1();
+            platform_cfg.phnet.policy = policy;
+            configs.push((
+                format!("flow-level {policy:?}"),
+                ServeConfig::new(platform_cfg, platform, table2_cnns())
+                    .with_max_concurrency(7)
+                    .with_contention(ContentionKind::FlowLevel),
+            ));
+        }
+    }
+    configs
 }
 
 #[test]
@@ -226,15 +248,20 @@ fn build_profiles_matches_reference_tabulation_bitwise() {
             let want = reference_profiles(&cfg);
             assert_profiles_bitwise(&got, &want, &format!("{platform:?} {name}"));
             // The configurations exercise the tables they claim to.
-            let gen = got
-                .models
-                .iter()
-                .find(|m| m.n_stages() > 1)
-                .expect("a generator in every mix");
-            match name {
-                "continuous(4)" => assert_eq!(gen.max_batch(), 4),
-                "flow-level" => assert_eq!(gen.flow_depth(), 4),
-                _ => assert!(gen.batched.is_empty() && gen.flow_stages.is_empty()),
+            let generator = || {
+                got.models
+                    .iter()
+                    .find(|m| m.n_stages() > 1)
+                    .expect("a generator in the mix")
+            };
+            match name.as_str() {
+                "per-stream" => {
+                    let gen = generator();
+                    assert!(gen.batched.is_empty() && gen.flow_stages.is_empty());
+                }
+                "continuous(4)" => assert_eq!(generator().max_batch(), 4),
+                "flow-level" => assert_eq!(generator().flow_depth(), 4),
+                _ => assert!(got.models.iter().all(|m| m.flow_depth() == 7), "{name}"),
             }
         }
     }
@@ -272,13 +299,18 @@ fn the_first_failing_stream_names_the_error() {
     assert!(err.to_string().contains("broken_step1"), "{err}");
 }
 
-/// Table 2's CNNs (10 rps, 50 ms SLO) and a GPT-2-small generator
-/// (prompt 32, 12 tokens, int8).
-fn table2_and_gpt2() -> Vec<ServedModel> {
-    let mut models: Vec<ServedModel> = lumos_dnn::zoo::table2_models()
+/// Table 2's CNNs (10 rps, 50 ms SLO).
+fn table2_cnns() -> Vec<ServedModel> {
+    lumos_dnn::zoo::table2_models()
         .iter()
         .map(|m| ServedModel::cnn(m, Precision::int8(), 10.0, 50.0))
-        .collect();
+        .collect()
+}
+
+/// Table 2's CNNs and a GPT-2-small generator (prompt 32, 12 tokens,
+/// int8).
+fn table2_and_gpt2() -> Vec<ServedModel> {
+    let mut models = table2_cnns();
     models.push(ServedModel::generator(
         &lumos_xformer::zoo::gpt2_small(),
         32,
