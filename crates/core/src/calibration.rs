@@ -9,7 +9,9 @@
 //! `tests/goldens/tables.txt` pins them.
 
 /// All device/system constants that are not part of the architectural
-/// Table 1 configuration.
+/// Table 1 configuration. None of them is a schedule: every layer
+/// issues its weight and activation streams when it starts (paper §V),
+/// as [`crate::runner`] documents.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Calibration {
     /// Photonic MAC pass rate in GHz — how often a vector unit can load
@@ -60,12 +62,6 @@ pub struct Calibration {
     /// fraction of its compute time (< 1 ⇒ headroom so streams never
     /// throttle compute).
     pub comm_overlap_margin: f64,
-    /// Weight prefetching (extension beyond the paper's baseline): when
-    /// enabled, layer *i+1*'s weight streams are issued as soon as layer
-    /// *i* starts, overlapping them with compute. Weights are static so
-    /// this needs only buffer space; activations still wait for their
-    /// producers. Off by default to match the paper's schedule.
-    pub prefetch_weights: bool,
 }
 
 impl Calibration {
@@ -87,7 +83,6 @@ impl Calibration {
             mono_static_w: 36.0,
             digital_static_w: 8.0,
             comm_overlap_margin: 0.5,
-            prefetch_weights: false,
         }
     }
 

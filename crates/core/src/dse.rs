@@ -34,8 +34,9 @@ use crate::runner::Runner;
 /// or when simulator semantics change within a crate version — so
 /// persisted caches from older layouts are invalidated wholesale.
 /// (v2: explicit softmax workloads + heterogeneous batched-GEMM
-/// placement changed every metric.)
-const KEY_SCHEMA: u64 = 2;
+/// placement changed every metric; v3: the calibration lost its
+/// schedule flag, so fewer fields are hashed.)
+const KEY_SCHEMA: u64 = 3;
 
 /// Seeds a hasher with the schema version and the crate version, so a
 /// release that changes simulator behavior invalidates persisted caches.
@@ -114,7 +115,6 @@ pub fn config_fingerprint(cfg: &PlatformConfig) -> u64 {
     h.write_f64(c.mono_static_w);
     h.write_f64(c.digital_static_w);
     h.write_f64(c.comm_overlap_margin);
-    h.write_bool(c.prefetch_weights);
     h.finish()
 }
 

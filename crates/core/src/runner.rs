@@ -15,6 +15,11 @@
 //! 3. MAC units integrate dot-product passes, overlapped with the
 //!    streams (double buffering);
 //! 4. outputs stream back to memory (SWSR / mesh unicast).
+//!
+//! A layer issues its weight and activation streams when it starts,
+//! after its predecessor's write-back finished, so every link is idle
+//! when a layer starts. The shape memo of [`RunPlan::execute`] and the
+//! closed form of [`ShapeTable::latencies`] rest on that.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -102,15 +107,11 @@ impl RunPlan<'_> {
     /// contention models gives, model for model, the reports
     /// [`Runner::run_workloads_scaled`] gives.
     ///
-    /// Each shape's link timing is simulated once per call. Without
-    /// weight prefetch
-    /// ([`prefetch_weights`](crate::calibration::Calibration::prefetch_weights),
-    /// off by default) every HBM channel, interposer lane, mesh link
-    /// and monolithic bus is idle when a layer starts, because each
-    /// layer starts after its predecessor's last stream finished. A
-    /// layer's timing relative to its start then depends only on its
-    /// shape, its placement and `contention`, all fixed within the
-    /// call. The photonic interposer's reconfiguration still runs for
+    /// Each shape's link timing is simulated once per call. Every HBM
+    /// channel, interposer lane, mesh link and monolithic bus is idle
+    /// when a layer starts (see the [module docs](self)), so a layer's
+    /// timing relative to its start depends only on its shape, its
+    /// placement and `contention`, all fixed within the call. The photonic interposer's reconfiguration still runs for
     /// every layer: its stall depends on the set the previous layer
     /// left, and it only moves the start. So the first occurrence of
     /// each shape is simulated, and every later one reuses its timing,
@@ -124,9 +125,7 @@ impl RunPlan<'_> {
     /// too, in the same order, so every report, trace and metrics
     /// export is bit-identical to simulating every layer. A replay
     /// leaves stale only what no output reads: each link's busy
-    /// horizon, busy time and per-server served bits. With prefetch
-    /// on, a layer's weights queue behind its predecessor's traffic,
-    /// and every layer is simulated.
+    /// horizon, busy time and per-server served bits.
     ///
     /// # Errors
     ///
@@ -152,8 +151,12 @@ impl RunPlan<'_> {
 /// 50 Mb/s. A link server keeps its rate in whole Mb/s
 /// ([`BandwidthServer::RESOLUTION_GBPS`]), so rounding moves a rate at
 /// least this fast by at most 1%. A share that derates any link of a
-/// run below it is [`CoreError::BadConfig`]. The photonic interposer's
-/// 12 Gb/s wavelengths (Table 1) reach it first, at a share of 1/240.
+/// run below it is [`CoreError::BadConfig`]. On Table 1 the 256 Gb/s
+/// HBM channels reach it first, at a share of 1/5120, except under
+/// PROWAVES: a photonic gateway runs at its active wavelengths times
+/// 12 Gb/s, and PROWAVES' 4-wavelength floor
+/// ([`ReconfigPolicy::min_wavelengths`](lumos_phnet::controller::ReconfigPolicy::min_wavelengths))
+/// reaches it at 1/960.
 pub const MIN_LINK_GBPS: f64 = 50.0 * BandwidthServer::RESOLUTION_GBPS;
 
 /// The latest instant a run may reach: a quarter of [`SimTime`]'s
@@ -293,8 +296,8 @@ impl ShapeTable<'_> {
     /// models must share one bandwidth share; their unit shares may
     /// differ, so one call times a column of a flow-level plane.
     ///
-    /// Without weight prefetch every link is idle when a layer starts
-    /// (see [`RunPlan::execute`]), so each layer adds
+    /// Every link is idle when a layer starts (see
+    /// [`RunPlan::execute`]), so each layer adds
     /// `stall + overhead + dur` to the clock:
     ///
     /// * `dur`, from the layer's start to its last stream's finish, is
@@ -327,10 +330,6 @@ impl ShapeTable<'_> {
     /// produced. A GPT-2 decode step's 124 layers cost 11 link passes, and
     /// a flow-level plane column of `K` compute shares costs the link
     /// passes of one cell (per active set).
-    ///
-    /// With [`prefetch_weights`](crate::calibration::Calibration::prefetch_weights)
-    /// on, a layer's weights queue behind its predecessor's traffic, so
-    /// each cell is `execute(stream, contention)?.total_latency`.
     ///
     /// An empty `contentions` gives an empty result.
     ///
@@ -366,17 +365,6 @@ impl ShapeTable<'_> {
             });
         }
         let runner = self.runner;
-        if runner.cfg.calibration.prefetch_weights {
-            return contentions
-                .iter()
-                .map(|contention| {
-                    streams
-                        .iter()
-                        .map(|&stream| Ok(self.execute(stream, contention)?.total_latency))
-                        .collect()
-                })
-                .collect();
-        }
         let platform = self.platform;
         // The selected shapes, each once, in order of first occurrence.
         let mut selected = vec![false; self.shapes.len()];
@@ -543,7 +531,7 @@ impl LinkPasses {
             None => {}
         }
         let start = self.t;
-        let (hbm, net) = self.backend.stream_in(io, start, start, &mut self.mesh);
+        let (hbm, net) = self.backend.stream_in(io, start, &mut self.mesh);
         let in_fin = hbm.max(net);
         let (hbm, net) = self.backend.stream_out(io, in_fin, &mut self.mesh);
         self.t = hbm.max(net);
@@ -799,12 +787,11 @@ impl Backend {
     fn simulate(
         &mut self,
         io: &LayerIo,
-        weight_issue: SimTime,
         start: SimTime,
         compute_end: SimTime,
         mesh: &mut Vec<MeshSend>,
     ) -> LayerTimes {
-        let (hbm_in_fin, net_in_fin) = self.stream_in(io, weight_issue, start, mesh);
+        let (hbm_in_fin, net_in_fin) = self.stream_in(io, start, mesh);
         let compute_fin = hbm_in_fin.max(net_in_fin).max(compute_end);
         let (hbm_out_fin, net_out_fin) = self.stream_out(io, compute_fin, mesh);
         LayerTimes {
@@ -816,17 +803,15 @@ impl Backend {
         }
     }
 
-    /// Issues a layer's inbound streams: its weights, sharded over its
-    /// chiplets and issued at `weight_issue`, and its input
-    /// activations, broadcast to them at `start`. Returns when the HBM
-    /// reads and when the fabric deliveries finish. The two link
-    /// families finish independently (HBM channel vs. interposer/bus
-    /// fabric) so the trace can attribute the stream to each. Mesh
-    /// transfers are logged to `mesh`.
+    /// Issues a layer's inbound streams at `start`: its weights, sharded
+    /// over its chiplets, and its input activations, broadcast to them.
+    /// Returns when the HBM reads and when the fabric deliveries finish.
+    /// The two link families finish independently (HBM channel vs.
+    /// interposer/bus fabric) so the trace can attribute the stream to
+    /// each. Mesh transfers are logged to `mesh`.
     fn stream_in(
         &mut self,
         io: &LayerIo,
-        weight_issue: SimTime,
         start: SimTime,
         mesh: &mut Vec<MeshSend>,
     ) -> (SimTime, SimTime) {
@@ -838,11 +823,11 @@ impl Backend {
         } = *io;
         match self {
             Backend::Siph { net, hbm } => {
-                let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
+                let hbm_w = hbm.read(start, w.weight_bits).finish;
                 let hbm_a = hbm.read(start, w.input_bits).finish;
                 let mut net_fin = SimTime::ZERO;
                 for &c in chiplets {
-                    net_fin = net_fin.max(net.read_unicast(weight_issue, c, weight_shard).finish);
+                    net_fin = net_fin.max(net.read_unicast(start, c, weight_shard).finish);
                 }
                 net_fin = net_fin.max(net.read_broadcast(start, w.input_bits).finish);
                 (hbm_w.max(hbm_a), net_fin)
@@ -854,7 +839,7 @@ impl Backend {
                 positions,
                 packet_bits,
             } => {
-                let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
+                let hbm_w = hbm.read(start, w.weight_bits).finish;
                 let hbm_a = hbm.read(start, w.input_bits).finish;
                 let mut send = |at: SimTime, dst: Coord, bits: u64| {
                     let t = net.transfer_packets(at, *mem, dst, bits, *packet_bits);
@@ -863,7 +848,7 @@ impl Backend {
                 };
                 let mut net_fin = SimTime::ZERO;
                 for &c in chiplets {
-                    net_fin = net_fin.max(send(weight_issue, positions[c], weight_shard));
+                    net_fin = net_fin.max(send(start, positions[c], weight_shard));
                 }
                 // Replicated unicast: a passive electrical interposer
                 // has no multicast.
@@ -874,9 +859,9 @@ impl Backend {
                 (hbm_w.max(hbm_a), net_fin.max(broadcast_fin))
             }
             Backend::Mono { bus, hbm } => {
-                let hbm_w = hbm.read(weight_issue, w.weight_bits).finish;
+                let hbm_w = hbm.read(start, w.weight_bits).finish;
                 let hbm_a = hbm.read(start, w.input_bits).finish;
-                let w_grant = bus.serve(weight_issue, w.weight_bits);
+                let w_grant = bus.serve(start, w.weight_bits);
                 let a_grant = bus.serve(start, w.input_bits);
                 (hbm_w.max(hbm_a), w_grant.finish.max(a_grant.finish))
             }
@@ -1313,17 +1298,9 @@ impl Runner {
         let mut active_idle_correction_j = 0.0;
         let mut bits_moved = 0u64;
         let overhead = SimTime::from_ns(calib.layer_overhead_ns);
-        // With weight prefetching, layer i+1's weight streams are issued
-        // at layer i's start (weights are static; the FIFO servers then
-        // naturally overlap them with layer i's tail traffic).
-        let mut prev_start: Option<SimTime> = None;
-        // Without it, the first occurrence of each shape is simulated
-        // and its later ones reuse that timing (see `RunPlan::execute`).
-        let mut memo: Vec<Option<Simulated>> = if calib.prefetch_weights {
-            Vec::new()
-        } else {
-            vec![None; placements.len()]
-        };
+        // The first occurrence of each shape is simulated and its later
+        // ones reuse that timing (see `RunPlan::execute`).
+        let mut memo: Vec<Option<Simulated>> = vec![None; placements.len()];
 
         for (w, shape) in layers {
             let placement = &placements[shape];
@@ -1359,29 +1336,20 @@ impl Runner {
             };
             let start = advance(t, stall + overhead, contention)?;
 
-            // Inbound streams: weights (sharded) + activations (broadcast).
-            let weight_issue = if calib.prefetch_weights {
-                prev_start.unwrap_or(start)
-            } else {
-                start
-            };
-            prev_start = Some(start);
             let compute_span = SimTime::from_secs_f64(compute_s);
             let compute_end = advance(start, compute_span, contention)?;
-            let times = match memo.get(shape) {
-                Some(Some(first)) => {
+            let times = match &memo[shape] {
+                Some(first) => {
                     // A repeat over idle links: the first occurrence's
                     // timing, moved to this start, and its accounting.
                     let shift = start - first.start;
                     backend.replay(&io, &first.mesh, shift);
                     first.times.shifted(shift)
                 }
-                _ => {
+                None => {
                     let mut mesh = Vec::new();
-                    let times = backend.simulate(&io, weight_issue, start, compute_end, &mut mesh);
-                    if let Some(slot) = memo.get_mut(shape) {
-                        *slot = Some(Simulated { start, times, mesh });
-                    }
+                    let times = backend.simulate(&io, start, compute_end, &mut mesh);
+                    memo[shape] = Some(Simulated { start, times, mesh });
                     times
                 }
             };
@@ -1441,8 +1409,8 @@ impl Runner {
                     TID_HBM,
                     "link:hbm",
                     &w.name,
-                    weight_issue.as_ps(),
-                    hbm_in_fin.saturating_sub(weight_issue).as_ps(),
+                    start.as_ps(),
+                    hbm_in_fin.saturating_sub(start).as_ps(),
                     vec![("dir", ArgValue::from("in"))],
                 );
                 self.tracer.span(
@@ -1450,8 +1418,8 @@ impl Runner {
                     TID_NET,
                     net_cat,
                     &w.name,
-                    weight_issue.as_ps(),
-                    net_in_fin.saturating_sub(weight_issue).as_ps(),
+                    start.as_ps(),
+                    net_in_fin.saturating_sub(start).as_ps(),
                     net_args("in"),
                 );
                 self.tracer.span(
@@ -1490,10 +1458,10 @@ impl Runner {
                         }
                     }
                 }
-                // Link-family occupancy: inbound streams start at weight
-                // issue, write-back at compute finish.
-                m.link_span(m.hbm, weight_issue, hbm_in_fin);
-                m.link_span(m.net, weight_issue, net_in_fin);
+                // Link-family occupancy: inbound streams start at the
+                // layer's start, write-back at compute finish.
+                m.link_span(m.hbm, start, hbm_in_fin);
+                m.link_span(m.net, start, net_in_fin);
                 m.link_span(m.hbm, compute_fin, hbm_out_fin);
                 m.link_span(m.net, compute_fin, net_out_fin);
                 // Energy rate: the layer's active MAC energy spread over
@@ -1686,7 +1654,10 @@ impl Runner {
             Platform::Siph2p5D => {
                 let mut phnet_cfg = self.cfg.phnet.clone();
                 phnet_cfg.rate_gbps *= bw;
-                derate("interposer wavelength", phnet_cfg.rate_gbps)?;
+                // A gateway serves at its active wavelengths times the
+                // rate, so its slowest is at the policy's fewest.
+                let fewest = phnet_cfg.policy.min_wavelengths(phnet_cfg.wavelengths);
+                derate("interposer gateway", fewest as f64 * phnet_cfg.rate_gbps)?;
                 Backend::Siph {
                     net: Box::new(PhotonicInterposer::new(phnet_cfg)?),
                     hbm: HbmStack::new(hbm_cfg),
@@ -1895,36 +1866,31 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_never_hurts_and_helps_comm_bound() {
-        let model = zoo::vgg16();
-        let base = Runner::new(PlatformConfig::paper_table1());
-        let mut cfg = PlatformConfig::paper_table1();
-        cfg.calibration.prefetch_weights = true;
-        let pre = Runner::new(cfg);
-        for p in Platform::all() {
-            let without = base.run(&p, &model).expect("vgg16 runs without prefetch");
-            let with = pre.run(&p, &model).expect("vgg16 runs with prefetch");
-            assert!(
-                with.total_latency <= without.total_latency,
-                "{p}: prefetch regressed {} -> {}",
-                without.total_latency,
-                with.total_latency
+    fn prowaves_runs_on_fewer_wavelengths_than_its_floor() {
+        // PROWAVES keeps 4 wavelengths lit; an interposer of fewer keeps
+        // them all, and each one fewer is slower.
+        let model = zoo::lenet5();
+        let mut last = SimTime::ZERO;
+        for wavelengths in (1..=3).rev() {
+            let mut cfg = PlatformConfig::paper_table1();
+            cfg.phnet.policy = lumos_phnet::controller::ReconfigPolicy::ProwavesWavelengths;
+            cfg.phnet.wavelengths = wavelengths;
+            let work = extract_workloads(&model, cfg.precision);
+            let runner = Runner::new(cfg);
+            let report = runner
+                .run(&Platform::Siph2p5D, &model)
+                .expect("lenet5 runs on a narrow PROWAVES grid");
+            assert!(report.total_latency > last, "{wavelengths} λ");
+            let plan = runner
+                .plan(&Platform::Siph2p5D, "lenet5", &work)
+                .expect("lenet5 plans");
+            assert_eq!(
+                plan.latency(&ContentionModel::uncontended()),
+                Ok(report.total_latency),
+                "{wavelengths} λ"
             );
+            last = report.total_latency;
         }
-        // The packetized electrical platform is weight-stream bound on
-        // VGG16's FC layers; prefetch must buy a visible win there.
-        let without = base
-            .run(&Platform::Elec2p5D, &model)
-            .expect("vgg16 runs on 2.5D-Elec without prefetch");
-        let with = pre
-            .run(&Platform::Elec2p5D, &model)
-            .expect("vgg16 runs on 2.5D-Elec with prefetch");
-        assert!(
-            with.latency_ms() < 0.98 * without.latency_ms(),
-            "prefetch should overlap FC weight streams: {} vs {}",
-            with.latency_ms(),
-            without.latency_ms()
-        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! before the split, so the two halves cannot drift together.
 //! `RunPlan::latency`, the closed-form total, must equal the executed
 //! report's total latency to the picosecond over the same grid, under
-//! every interposer policy and with weight prefetch, and fail where
-//! execution fails, with the same error. So must every stream a
-//! `ShapeTable` times, whichever streams it is asked for together.
+//! every interposer policy, and fail where execution fails, with the
+//! same error. So must every stream a `ShapeTable` times, whichever
+//! streams it is asked for together.
 
 use std::hash::Hasher;
 
@@ -225,9 +225,9 @@ fn a_plan_executes_on_the_runner_that_made_it() {
 }
 
 /// Table 1 under each interposer policy, with twice the MAC units per
-/// chiplet, with weight prefetch (where `latency` executes), and with
-/// a laser ceiling no photonic link budget closes under (planning
-/// succeeds; the photonic interposer fails at execution).
+/// chiplet, and with a laser ceiling no photonic link budget closes
+/// under (planning succeeds; the photonic interposer fails at
+/// execution).
 fn latency_configs() -> Vec<(String, PlatformConfig)> {
     let table1 = PlatformConfig::paper_table1();
     let mut configs: Vec<(String, PlatformConfig)> = [
@@ -253,9 +253,6 @@ fn latency_configs() -> Vec<(String, PlatformConfig)> {
         class.macs_per_chiplet *= 2;
     }
     configs.push(("wide".into(), wide));
-    let mut prefetch = table1.clone();
-    prefetch.calibration.prefetch_weights = true;
-    configs.push(("prefetch".into(), prefetch));
     let mut infeasible = table1;
     infeasible.phnet.max_laser_dbm = -20.0;
     configs.push(("infeasible".into(), infeasible));
@@ -492,40 +489,73 @@ fn tiny_shares_are_errors_not_panics() {
 /// rate by more than 1%, are configuration errors on every path. With
 /// only a 1 Mb/s floor, LeNet5 on the electrical mesh read one latency
 /// at every bandwidth share from 4e-6 to 5.5e-6 and half of it at 6e-6,
-/// monolithic one latency at 4.5e-6 and 5e-6, and a share of 1e-4
-/// derated the photonic interposer's 12 Gb/s wavelengths to 1.2 Mb/s.
-/// Those wavelengths reach the floor at a share of 1/240, so the
-/// interposer times at most 240 uniform residents; that share and the
-/// smallest the properties draw (0.02) still run everywhere.
+/// and monolithic one latency at 4.5e-6 and 5e-6. The floor binds at
+/// the rate a server runs at: Table 1's 256 Gb/s HBM channels reach it
+/// at a share of 1/5120 on every platform, and a photonic gateway, at
+/// its fewest active wavelengths times 12 Gb/s, at 1/15360 under ReSiPI
+/// and at 1/960 under PROWAVES' 4-wavelength floor. Shares on both
+/// sides of each floor are checked, and 1/240 and the smallest share
+/// the properties draw (0.02) still run everywhere.
 #[test]
 fn shares_a_link_server_would_round_are_errors() {
     let cfg = PlatformConfig::paper_table1();
-    let runner = Runner::new(cfg.clone());
+    let mut prowaves = cfg.clone();
+    prowaves.phnet.policy = ReconfigPolicy::ProwavesWavelengths;
     let work = extract_workloads(&zoo::lenet5(), cfg.precision);
-    let coarse = [
-        (Platform::Elec2p5D, &[4e-6, 4.5e-6, 5e-6, 5.5e-6, 6e-6][..]),
-        (Platform::Monolithic, &[4.5e-6, 5e-6]),
-        (Platform::Siph2p5D, &[1e-4, 1.0 / 241.0]),
+    // Configuration, platform, the link an error names, shares below
+    // its floor and shares above it.
+    let floors = [
+        (
+            &cfg,
+            Platform::Elec2p5D,
+            "HBM channel",
+            &[4e-6, 4.5e-6, 5e-6, 5.5e-6, 6e-6][..],
+            &[][..],
+        ),
+        (
+            &cfg,
+            Platform::Monolithic,
+            "HBM channel",
+            &[4.5e-6, 5e-6],
+            &[],
+        ),
+        (
+            &cfg,
+            Platform::Siph2p5D,
+            "HBM channel",
+            &[1e-4, 1.0 / 5200.0],
+            &[1.0 / 241.0, 1.0 / 5000.0],
+        ),
+        (
+            &prowaves,
+            Platform::Siph2p5D,
+            "interposer gateway",
+            &[1.0 / 1000.0, 1.0 / 5000.0],
+            &[1.0 / 950.0],
+        ),
     ];
-    for (platform, shares) in coarse {
+    for (cfg, platform, link, below, above) in floors {
+        let runner = Runner::new(cfg.clone());
         let plan = runner
             .plan(&platform, "lenet5", &work)
             .expect("lenet5 plans");
         let mut table = runner.shape_table(&platform).expect("valid config");
         let stream = table.add_stream(&work).expect("lenet5 adds");
-        for &share in shares {
+        for &share in below.iter().chain(above) {
             let c = ContentionModel::uncontended().with_bandwidth_share(share);
-            let what = format!("{platform:?} at bandwidth share {share:e}");
+            let what = format!("{platform:?} {:?} at {share:e}", cfg.phnet.policy);
             let scaled = runner
                 .run_workloads_scaled(&platform, "lenet5", &work, &c)
                 .map(|r| r.total_latency);
             match &scaled {
-                Err(CoreError::BadConfig { reason }) => assert!(
-                    reason.contains("whole Mb/s")
+                Err(CoreError::BadConfig { reason }) if below.contains(&share) => assert!(
+                    reason.contains(link)
+                        && reason.contains("whole Mb/s")
                         && reason.contains(&format!("{share:?}"))
                         && reason.contains(&MIN_LINK_GBPS.to_string()),
                     "{what}: {reason}"
                 ),
+                Ok(_) if above.contains(&share) => {}
                 other => panic!("{what}: {other:?}"),
             }
             assert_eq!(plan.latency(&c), scaled, "{what}");
@@ -536,6 +566,7 @@ fn shares_a_link_server_would_round_are_errors() {
             );
         }
     }
+    let runner = Runner::new(cfg);
     for platform in PLATFORMS {
         let plan = runner
             .plan(&platform, "lenet5", &work)

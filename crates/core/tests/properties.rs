@@ -68,10 +68,10 @@ fn additive_pairs() -> Vec<(Platform, ReconfigPolicy)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Without weight prefetch every link is idle when a layer starts,
-    /// so a layer takes as long inside a stream as alone: a stream of
-    /// randomly repeated layers lasts exactly the sum of its layers'
-    /// single-layer runs, to the picosecond, under contention too.
+    /// Every link is idle when a layer starts, so a layer takes as
+    /// long inside a stream as alone: a stream of randomly repeated
+    /// layers lasts exactly the sum of its layers' single-layer runs,
+    /// to the picosecond, under contention too.
     #[test]
     fn stream_latency_is_additive_over_layers(
         model in random_cnn(),
@@ -159,26 +159,6 @@ proptest! {
             .expect("int16 model runs");
         prop_assert_eq!(r16.bits_moved, 2 * r8.bits_moved);
         prop_assert!(r16.total_latency >= r8.total_latency);
-    }
-
-    /// Prefetching weights never increases latency.
-    #[test]
-    fn prefetch_monotone(model in random_cnn()) {
-        let base = PlatformConfig::paper_table1();
-        let mut pre = PlatformConfig::paper_table1();
-        pre.calibration.prefetch_weights = true;
-        for platform in Platform::all() {
-            let without = Runner::new(base.clone())
-                .run(&platform, &model)
-                .expect("baseline model runs");
-            let with = Runner::new(pre.clone())
-                .run(&platform, &model)
-                .expect("pre-emphasis model runs");
-            prop_assert!(
-                with.total_latency <= without.total_latency,
-                "{platform}: prefetch regressed"
-            );
-        }
     }
 }
 

@@ -5,12 +5,12 @@
 //! step 0 at batch 4), each under seven contention models — is folded
 //! into one `StableHasher` digest per configuration × platform, over
 //! every `LayerReport` field (times by bits), the energy breakdown and
-//! `bits_moved`. Four configurations cover the schedules the runner
-//! distinguishes: Table 1, Table 1 with weight prefetch, a pinned
-//! placement policy, and PROWAVES wavelength scaling on the photonic
-//! interposer. Digests of the Chrome export of a traced GPT-2 decode
-//! step and of the Prometheus export of a metered one pin what the
-//! runner emits besides its report.
+//! `bits_moved`. Three configurations cover what the runner
+//! distinguishes: Table 1, a pinned placement policy, and PROWAVES
+//! wavelength scaling on the photonic interposer. Digests of the
+//! Chrome export of a traced GPT-2 decode step and of the Prometheus
+//! export of a metered one pin what the runner emits besides its
+//! report.
 //!
 //! A drift message prints every new digest; paste them in only when a
 //! change of the simulated numbers is intended.
@@ -33,11 +33,9 @@ const PLATFORMS: [Platform; 3] = [Platform::Siph2p5D, Platform::Elec2p5D, Platfo
 /// GPT-2-small prompt length of every transformer stream.
 const PROMPT: u32 = 32;
 
-/// The four configurations: name, platform configuration, placement.
+/// The three configurations: name, platform configuration, placement.
 fn configs() -> Vec<(&'static str, PlatformConfig, PlacementPolicy)> {
     let table1 = PlatformConfig::paper_table1();
-    let mut prefetch = table1.clone();
-    prefetch.calibration.prefetch_weights = true;
     let mut prowaves = table1.clone();
     prowaves.phnet.policy = ReconfigPolicy::ProwavesWavelengths;
     let pinned = PlacementPolicy::unrestricted()
@@ -45,7 +43,6 @@ fn configs() -> Vec<(&'static str, PlatformConfig, PlacementPolicy)> {
         .pin(MacClass::Dense100, vec![0]);
     vec![
         ("table1", table1.clone(), PlacementPolicy::unrestricted()),
-        ("prefetch", prefetch, PlacementPolicy::unrestricted()),
         ("pinned", table1, pinned),
         ("prowaves", prowaves, PlacementPolicy::unrestricted()),
     ]
@@ -135,13 +132,10 @@ fn grid_digest(cfg: &PlatformConfig, policy: &PlacementPolicy, platform: Platfor
 
 /// `(config, platform, digest)`, recorded before a simulated layer's
 /// timing could be reused for a later layer of the same shape.
-const REPORT_GOLDENS: [(&str, Platform, u64); 12] = [
+const REPORT_GOLDENS: [(&str, Platform, u64); 9] = [
     ("table1", Platform::Siph2p5D, 0xe558_b798_2782_948f),
     ("table1", Platform::Elec2p5D, 0xb78a_768f_d46d_c5a3),
     ("table1", Platform::Monolithic, 0x0010_d5c7_2bb4_d7f1),
-    ("prefetch", Platform::Siph2p5D, 0xf889_8929_c0cc_eb3e),
-    ("prefetch", Platform::Elec2p5D, 0xe56b_f7bd_9b85_46fb),
-    ("prefetch", Platform::Monolithic, 0xe320_0c2d_069b_3b39),
     ("pinned", Platform::Siph2p5D, 0x2ae1_1ab0_be2b_9252),
     ("pinned", Platform::Elec2p5D, 0xed22_b115_c700_c0e3),
     ("pinned", Platform::Monolithic, 0x3624_e8fb_b3b8_8b40),

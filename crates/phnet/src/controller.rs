@@ -23,6 +23,31 @@ pub enum ReconfigPolicy {
     StaticMin,
 }
 
+/// The fewest wavelengths PROWAVES keeps lit per gateway, to keep its
+/// links alive however light the load.
+pub const PROWAVES_MIN_WAVELENGTHS: usize = 4;
+
+impl ReconfigPolicy {
+    /// The fewest wavelengths per gateway the policy ever leaves active
+    /// on an interposer of `total`: [`PROWAVES_MIN_WAVELENGTHS`] (or
+    /// `total`, if fewer) under PROWAVES, `total` under every other
+    /// policy, which never scales wavelengths.
+    ///
+    /// ```
+    /// use lumos_phnet::controller::ReconfigPolicy;
+    ///
+    /// assert_eq!(ReconfigPolicy::ProwavesWavelengths.min_wavelengths(64), 4);
+    /// assert_eq!(ReconfigPolicy::ProwavesWavelengths.min_wavelengths(2), 2);
+    /// assert_eq!(ReconfigPolicy::ResipiGateways.min_wavelengths(64), 64);
+    /// ```
+    pub fn min_wavelengths(self, total: usize) -> usize {
+        match self {
+            ReconfigPolicy::ProwavesWavelengths => PROWAVES_MIN_WAVELENGTHS.min(total),
+            _ => total,
+        }
+    }
+}
+
 /// The active resource set chosen for an epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ActiveSet {
@@ -182,12 +207,12 @@ impl EpochController {
             }
             ReconfigPolicy::ProwavesWavelengths => {
                 // Scale wavelengths so the busiest chiplet's full gateway
-                // complement covers its demand; minimum 4 λ to keep links
-                // alive.
+                // complement covers its demand, down to the policy's floor.
                 let per_lambda = self.rate_per_lambda(gateway_gbps) * 1e9;
                 let busiest = demand_bps.iter().cloned().fold(0.0, f64::max);
                 let needed = busiest / (self.gateways_per_chiplet as f64 * per_lambda);
-                let lambdas = (needed.ceil() as usize).clamp(4, self.wavelengths);
+                let floor = self.policy.min_wavelengths(self.wavelengths);
+                let lambdas = (needed.ceil() as usize).clamp(floor, self.wavelengths);
                 ActiveSet {
                     gateways_per_chiplet: vec![self.gateways_per_chiplet; self.chiplets],
                     memory_gateways: self.memory_gateways,
@@ -283,6 +308,18 @@ mod tests {
         // Heavy load restores the full grid.
         let (set, _) = c.plan_epoch(&demand(&[3072e9, 3072e9]), 768.0);
         assert_eq!(set.wavelengths, 64);
+    }
+
+    #[test]
+    fn prowaves_floor_fits_a_narrow_grid() {
+        // Fewer wavelengths than the PROWAVES floor: it keeps them all.
+        for total in 1..PROWAVES_MIN_WAVELENGTHS {
+            let mut c = EpochController::new(ReconfigPolicy::ProwavesWavelengths, 2, 4, 2, total);
+            for load in [0.0, 1e15] {
+                let (set, _) = c.plan_epoch(&demand(&[load, 0.0]), 12.0 * total as f64);
+                assert_eq!(set.wavelengths, total);
+            }
+        }
     }
 
     #[test]

@@ -339,7 +339,8 @@ pub struct ServeConfig {
     /// requests wait for a slot. Also the deepest contention level the
     /// service profile is built for. A share of `1/K` must not derate a
     /// link below `lumos_core::runner::MIN_LINK_GBPS`, or building the
-    /// profiles fails: Table 1's photonic interposer allows `K <= 240`.
+    /// profiles fails: Table 1's HBM channels allow `K <= 5120` on
+    /// every platform, and PROWAVES' 4-wavelength gateways `K <= 960`.
     pub max_concurrency: usize,
     /// Multiplier on every model's `rate_rps` — the offered-load knob a
     /// saturation sweep turns.

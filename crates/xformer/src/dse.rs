@@ -1,18 +1,18 @@
 //! Design-space exploration glue for transformer workloads.
 //!
 //! Wires the transformer zoo into the `lumos_dse` engine the same way
-//! `lumos_core::dse` wires the CNN zoo: stable scenario fingerprints
-//! (`(config, platform, architecture, seq_len, batch)`), memoized
-//! evaluation through the platform runner, scenario sweeps over
-//! [`XformerAxes`] grids, configuration sweeps over [`DseAxes`] grids,
-//! and iterative [`explore`] with successive-halving refinement.
+//! `lumos_core::dse` wires the CNN zoo: stable scenario and decode
+//! fingerprints (`(config, platform, architecture, seq_len or cache
+//! depth, batch)`), evaluation through the platform runner, and a
+//! memoized [`sweep_decode`] over [`DecodeAxes`] grids. A prefill
+//! scenario grid runs through [`SweepJob::run_memoized`] with
+//! [`scenario_key`] and [`evaluate`] directly.
 
 use std::hash::{Hash, Hasher};
 
 use lumos_core::dse::{
-    config_fingerprint, evaluate_workloads, pareto_front, refine_axes, workloads_key, DecodeAxes,
-    DseAxes, DseMetrics, DsePoint, Exploration, MemoCache, StableHasher, SweepJob, SweepStats,
-    XformerAxes,
+    evaluate_workloads, workloads_key, DecodeAxes, DseMetrics, MemoCache, StableHasher, SweepJob,
+    SweepStats,
 };
 use lumos_core::{CoreError, Platform, PlatformConfig, RunReport, Runner};
 
@@ -106,61 +106,6 @@ pub fn evaluate(
     evaluate_workloads(cfg, platform, &scenario_label(model, seq_len, batch), &work)
 }
 
-/// One evaluated workload scenario: its grid coordinates plus metrics.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioPoint {
-    /// Requested sequence length.
-    pub seq_len: u32,
-    /// Sequence length the model actually ran at.
-    pub effective_seq: u32,
-    /// Batch size.
-    pub batch: u32,
-    /// End-to-end latency, milliseconds.
-    pub latency_ms: f64,
-    /// Time-averaged power, watts.
-    pub power_w: f64,
-    /// Energy per bit, nanojoules.
-    pub epb_nj: f64,
-    /// Whether the point simulated successfully.
-    pub feasible: bool,
-}
-
-/// Sweeps the [`XformerAxes`] scenario grid for one architecture on
-/// one platform, in parallel and memoized.
-///
-/// Points come back in grid order (sequence lengths outermost)
-/// regardless of thread count.
-pub fn sweep_scenarios(
-    cfg: &PlatformConfig,
-    platform: &Platform,
-    model: &TransformerConfig,
-    axes: &XformerAxes,
-    threads: usize,
-    cache: &mut MemoCache,
-) -> (Vec<ScenarioPoint>, SweepStats) {
-    let grid: Vec<(u32, u32)> = axes.points().collect();
-    let job = SweepJob::new(grid.clone()).threads(threads);
-    let (metrics, stats) = job.run_memoized(
-        cache,
-        |&(s, b)| scenario_key(cfg, platform, model, s, b),
-        |&(s, b)| evaluate(cfg, platform, model, s, b),
-    );
-    let points = grid
-        .into_iter()
-        .zip(metrics)
-        .map(|((seq_len, batch), m)| ScenarioPoint {
-            seq_len,
-            effective_seq: model.effective_seq(seq_len),
-            batch,
-            latency_ms: m.latency_ms,
-            power_w: m.power_w,
-            epb_nj: m.epb_nj,
-            feasible: m.feasible,
-        })
-        .collect();
-    (points, stats)
-}
-
 /// Fingerprint of one decode scenario: the architecture at a KV-cache
 /// depth and batch size. Domain-tagged so decode keys stay disjoint
 /// from prefill [`scenario_fingerprint`]s even where the lowered shapes
@@ -199,24 +144,6 @@ pub fn decode_label(model: &TransformerConfig, cache_len: u32, batch: u32) -> St
     format!("{} (decode @ cache {cache_len}, batch {batch})", model.name)
 }
 
-/// Runs one decode step through the platform simulator, returning the
-/// full per-op report.
-///
-/// # Errors
-///
-/// Propagates the runner's [`CoreError`]s (bad configuration,
-/// infeasible photonics).
-pub fn run_decode(
-    cfg: &PlatformConfig,
-    platform: &Platform,
-    model: &TransformerConfig,
-    cache_len: u32,
-    batch: u32,
-) -> Result<RunReport, CoreError> {
-    let work = extract_decode_workloads(model, cache_len, batch, cfg.precision);
-    Runner::new(cfg.clone()).run_workloads(platform, &decode_label(model, cache_len, batch), &work)
-}
-
 /// Evaluates one decode step, folding infeasible configurations into
 /// NaN-metric records. `latency_ms` is the **per-token latency** of one
 /// generated token at this cache depth.
@@ -249,8 +176,7 @@ pub struct DecodePoint {
 }
 
 /// Sweeps the [`DecodeAxes`] grid (cache depths × batches) for one
-/// architecture on one platform, in parallel and memoized — the decode
-/// counterpart of [`sweep_scenarios`].
+/// architecture on one platform, in parallel and memoized.
 ///
 /// Points come back in grid order (cache depths outermost) regardless
 /// of thread count.
@@ -282,83 +208,6 @@ pub fn sweep_decode(
         })
         .collect();
     (points, stats)
-}
-
-/// Sweeps a [`DseAxes`] configuration grid (wavelengths × gateways ×
-/// MAC scales) on the photonic platform for one fixed transformer
-/// scenario — the CNN path's `lumos_core::dse::sweep_with` with a
-/// transformer workload in the evaluation seat.
-pub fn sweep_configs(
-    base: &PlatformConfig,
-    axes: &DseAxes,
-    model: &TransformerConfig,
-    seq_len: u32,
-    batch: u32,
-    threads: usize,
-    cache: &mut MemoCache,
-) -> (Vec<DsePoint>, SweepStats) {
-    let grid: Vec<(usize, usize, f64)> = axes.points().collect();
-    let configs: Vec<PlatformConfig> = grid
-        .iter()
-        .map(|&(w, g, s)| lumos_core::dse::grid_config(base, w, g, s))
-        .collect();
-    let platform = Platform::Siph2p5D;
-    let scenario_fp = scenario_fingerprint(model, seq_len, batch);
-    let job = SweepJob::new(configs).threads(threads);
-    let (metrics, stats) = job.run_memoized(
-        cache,
-        |cfg| {
-            let mut h = StableHasher::new();
-            h.write_u64(config_fingerprint(cfg));
-            h.write_u64(scenario_fp);
-            h.finish()
-        },
-        |cfg| evaluate(cfg, &platform, model, seq_len, batch),
-    );
-    let points = grid
-        .into_iter()
-        .zip(metrics)
-        .map(|((w, g, s), m)| DsePoint::new(w, g, s, m))
-        .collect();
-    (points, stats)
-}
-
-/// Iteratively explores the photonic design space for a transformer
-/// scenario: sweep the configuration grid, extract the Pareto front,
-/// refine the axes around it by successive halving, repeat — the
-/// transformer counterpart of `lumos_core::dse::explore`.
-#[allow(clippy::too_many_arguments)] // core::dse::explore's signature + the scenario coordinates
-pub fn explore(
-    base: &PlatformConfig,
-    axes: &DseAxes,
-    model: &TransformerConfig,
-    seq_len: u32,
-    batch: u32,
-    rounds: usize,
-    cache: &mut MemoCache,
-    threads: usize,
-) -> Exploration {
-    let mut axes = axes.clone();
-    let mut points: Vec<DsePoint> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut stats = Vec::new();
-    for _ in 0..rounds.max(1) {
-        let (pts, st) = sweep_configs(base, &axes, model, seq_len, batch, threads, cache);
-        stats.push(st);
-        for p in pts {
-            if seen.insert((p.wavelengths, p.gateways, p.mac_scale.to_bits())) {
-                points.push(p);
-            }
-        }
-        let front = pareto_front(&points);
-        axes = refine_axes(&axes, &front);
-    }
-    let front = pareto_front(&points);
-    Exploration {
-        points,
-        front,
-        rounds: stats,
-    }
 }
 
 #[cfg(test)]
@@ -416,41 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_sweep_is_memoized() {
-        let cfg = PlatformConfig::paper_table1();
-        let axes = XformerAxes::from_slices(&[64, 128], &[1, 2]);
-        let mut cache = MemoCache::in_memory();
-        let (first, s1) = sweep_scenarios(
-            &cfg,
-            &Platform::Siph2p5D,
-            &zoo::vit_b16(),
-            &axes,
-            2,
-            &mut cache,
-        );
-        assert_eq!(first.len(), 4);
-        // ViT runs at its native 197 tokens, so the two requested
-        // sequence lengths share cache keys: only 2 distinct scenarios
-        // simulate, the other 2 are first-sweep hits.
-        assert_eq!(s1.evaluated, 2);
-        assert_eq!(s1.hits, 2);
-        let (second, s2) = sweep_scenarios(
-            &cfg,
-            &Platform::Siph2p5D,
-            &zoo::vit_b16(),
-            &axes,
-            2,
-            &mut cache,
-        );
-        assert!(s2.all_hits());
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a, b);
-        }
-        // ViT ignores the requested sequence length.
-        assert!(first.iter().all(|p| p.effective_seq == 197));
-    }
-
-    #[test]
     fn decode_keys_are_stable_and_sensitive() {
         let cfg = PlatformConfig::paper_table1();
         let gpt2 = zoo::gpt2_small();
@@ -500,25 +314,5 @@ mod tests {
         // The sweep agrees with direct evaluation point-for-point.
         let direct = evaluate_decode(&cfg, &Platform::Siph2p5D, &gpt2, 64, 1);
         assert_eq!(points[0].latency_ms, direct.latency_ms);
-    }
-
-    #[test]
-    fn config_sweep_and_explore_cover_the_grid() {
-        let cfg = PlatformConfig::paper_table1();
-        let axes = DseAxes {
-            wavelengths: vec![16, 64],
-            gateways: vec![1, 4],
-            mac_scales: vec![1.0],
-        };
-        let mut cache = MemoCache::in_memory();
-        let (points, _) = sweep_configs(&cfg, &axes, &zoo::bert_base(), 64, 1, 2, &mut cache);
-        assert_eq!(points.len(), 4);
-        assert!(points.iter().all(|p| p.feasible));
-
-        let ex = explore(&cfg, &axes, &zoo::bert_base(), 64, 1, 2, &mut cache, 2);
-        assert!(!ex.front.is_empty());
-        assert_eq!(ex.rounds.len(), 2);
-        // Round 1 re-visits the grid already in the cache.
-        assert_eq!(ex.rounds[0].hits, ex.rounds[0].points);
     }
 }

@@ -18,8 +18,8 @@
 //!   depth and batch size
 //! * [`zoo`] — BERT-Base (109,482,240), GPT-2 small (124,439,808), and
 //!   ViT-B/16 (86,567,656)
-//! * [`dse`] — scenario/decode fingerprints, memoized evaluation, and
-//!   sequence/batch + cache-depth + configuration sweeps through the
+//! * [`dse`] — scenario/decode fingerprints, evaluation through the
+//!   platform runner, and a memoized cache-depth sweep through the
 //!   `lumos_dse` engine
 //!
 //! The lowering target is the same [`lumos_dnn::LayerWorkload`] the CNN
@@ -52,5 +52,5 @@ pub mod zoo;
 
 pub use config::{Embedding, TransformerConfig};
 pub use decode::{decode_ops, extract_decode_workloads, DecodePhase, KvCache};
-pub use dse::{DecodePoint, ScenarioPoint};
+pub use dse::DecodePoint;
 pub use ops::{extract_transformer_workloads, transformer_ops, OpKind, XformerOp};
