@@ -152,7 +152,7 @@ impl Model {
     /// # Errors
     ///
     /// Propagates the errors of [`Model::add_node`].
-    pub fn push(&mut self, name: &str, layer: Layer) -> Result<NodeId, ModelError> {
+    pub fn push(&mut self, name: impl Into<String>, layer: Layer) -> Result<NodeId, ModelError> {
         let inputs = self.tail.map(|t| vec![t]).unwrap_or_default();
         self.add_node(name, layer, inputs)
     }
@@ -169,15 +169,14 @@ impl Model {
     ///   when merge inputs disagree.
     pub fn add_node(
         &mut self,
-        name: &str,
+        name: impl Into<String>,
         layer: Layer,
         inputs: Vec<NodeId>,
     ) -> Result<NodeId, ModelError> {
+        let name = name.into();
         for &i in &inputs {
             if i.0 >= self.nodes.len() {
-                return Err(ModelError::UnknownInput {
-                    node: name.to_owned(),
-                });
+                return Err(ModelError::UnknownInput { node: name });
             }
         }
 
@@ -185,7 +184,7 @@ impl Model {
         let input_shape = if is_merge {
             if inputs.len() < 2 {
                 return Err(ModelError::BadFanIn {
-                    node: name.to_owned(),
+                    node: name,
                     got: inputs.len(),
                 });
             }
@@ -196,9 +195,7 @@ impl Model {
             match layer {
                 Layer::Add => {
                     if shapes.windows(2).any(|w| w[0] != w[1]) {
-                        return Err(ModelError::AddShapeMismatch {
-                            node: name.to_owned(),
-                        });
+                        return Err(ModelError::AddShapeMismatch { node: name });
                     }
                     shapes[0]
                 }
@@ -207,9 +204,7 @@ impl Model {
                         .windows(2)
                         .any(|w| w[0].h != w[1].h || w[0].w != w[1].w)
                     {
-                        return Err(ModelError::ConcatShapeMismatch {
-                            node: name.to_owned(),
-                        });
+                        return Err(ModelError::ConcatShapeMismatch { node: name });
                     }
                     let c: u32 = shapes.iter().map(|s| s.c).sum();
                     TensorShape::chw(c, shapes[0].h, shapes[0].w)
@@ -220,12 +215,7 @@ impl Model {
             match inputs.len() {
                 0 => self.input_shape,
                 1 => self.nodes[inputs[0].0].output_shape,
-                got => {
-                    return Err(ModelError::BadFanIn {
-                        node: name.to_owned(),
-                        got,
-                    })
-                }
+                got => return Err(ModelError::BadFanIn { node: name, got }),
             }
         };
 
@@ -237,7 +227,7 @@ impl Model {
 
         let id = NodeId(self.nodes.len());
         self.nodes.push(Node {
-            name: name.to_owned(),
+            name,
             layer,
             inputs,
             input_shape,

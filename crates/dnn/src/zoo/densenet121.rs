@@ -70,40 +70,40 @@ fn dense_block(m: &mut Model, name: &str, layers: usize) {
         let b = format!("{name}_block{}", li + 1);
 
         let x = m
-            .add_node(&format!("{b}_0_bn"), Layer::BatchNorm, vec![input])
+            .add_node(format!("{b}_0_bn"), Layer::BatchNorm, vec![input])
             .expect(ok);
         let x = m
             .add_node(
-                &format!("{b}_0_relu"),
+                format!("{b}_0_relu"),
                 Layer::Activation(Activation::Relu),
                 vec![x],
             )
             .expect(ok);
         let x = m
             .add_node(
-                &format!("{b}_1_conv"),
+                format!("{b}_1_conv"),
                 Layer::conv_nb(4 * GROWTH, 1, 1, Padding::Valid),
                 vec![x],
             )
             .expect(ok);
         let x = m
-            .add_node(&format!("{b}_1_bn"), Layer::BatchNorm, vec![x])
+            .add_node(format!("{b}_1_bn"), Layer::BatchNorm, vec![x])
             .expect(ok);
         let x = m
             .add_node(
-                &format!("{b}_1_relu"),
+                format!("{b}_1_relu"),
                 Layer::Activation(Activation::Relu),
                 vec![x],
             )
             .expect(ok);
         let x = m
             .add_node(
-                &format!("{b}_2_conv"),
+                format!("{b}_2_conv"),
                 Layer::conv_nb(GROWTH, 3, 1, Padding::Same),
                 vec![x],
             )
             .expect(ok);
-        m.add_node(&format!("{b}_concat"), Layer::Concat, vec![input, x])
+        m.add_node(format!("{b}_concat"), Layer::Concat, vec![input, x])
             .expect(ok);
     }
 }
@@ -114,24 +114,24 @@ fn transition(m: &mut Model, name: &str) {
     let input = m.tail().expect("transition needs a predecessor");
     let channels = m.output_shape_of(input).c;
     let x = m
-        .add_node(&format!("{name}_bn"), Layer::BatchNorm, vec![input])
+        .add_node(format!("{name}_bn"), Layer::BatchNorm, vec![input])
         .expect(ok);
     let x = m
         .add_node(
-            &format!("{name}_relu"),
+            format!("{name}_relu"),
             Layer::Activation(Activation::Relu),
             vec![x],
         )
         .expect(ok);
     let x = m
         .add_node(
-            &format!("{name}_conv"),
+            format!("{name}_conv"),
             Layer::conv_nb(channels / 2, 1, 1, Padding::Valid),
             vec![x],
         )
         .expect(ok);
     m.add_node(
-        &format!("{name}_pool"),
+        format!("{name}_pool"),
         Layer::AvgPool {
             size: 2,
             stride: 2,

@@ -72,17 +72,17 @@ fn inverted_residual(m: &mut Model, id: usize, expansion: u32, out_channels: u32
     if expansion != 1 {
         x = m
             .add_node(
-                &format!("{b}_expand"),
+                format!("{b}_expand"),
                 Layer::conv_nb(in_channels * expansion, 1, 1, Padding::Valid),
                 vec![x],
             )
             .expect(ok);
         x = m
-            .add_node(&format!("{b}_expand_bn"), Layer::BatchNorm, vec![x])
+            .add_node(format!("{b}_expand_bn"), Layer::BatchNorm, vec![x])
             .expect(ok);
         x = m
             .add_node(
-                &format!("{b}_expand_relu"),
+                format!("{b}_expand_relu"),
                 Layer::Activation(Activation::Relu6),
                 vec![x],
             )
@@ -91,17 +91,17 @@ fn inverted_residual(m: &mut Model, id: usize, expansion: u32, out_channels: u32
 
     x = m
         .add_node(
-            &format!("{b}_depthwise"),
+            format!("{b}_depthwise"),
             Layer::depthwise_nb(3, stride, Padding::Same),
             vec![x],
         )
         .expect(ok);
     x = m
-        .add_node(&format!("{b}_depthwise_bn"), Layer::BatchNorm, vec![x])
+        .add_node(format!("{b}_depthwise_bn"), Layer::BatchNorm, vec![x])
         .expect(ok);
     x = m
         .add_node(
-            &format!("{b}_depthwise_relu"),
+            format!("{b}_depthwise_relu"),
             Layer::Activation(Activation::Relu6),
             vec![x],
         )
@@ -109,17 +109,17 @@ fn inverted_residual(m: &mut Model, id: usize, expansion: u32, out_channels: u32
 
     x = m
         .add_node(
-            &format!("{b}_project"),
+            format!("{b}_project"),
             Layer::conv_nb(out_channels, 1, 1, Padding::Valid),
             vec![x],
         )
         .expect(ok);
     x = m
-        .add_node(&format!("{b}_project_bn"), Layer::BatchNorm, vec![x])
+        .add_node(format!("{b}_project_bn"), Layer::BatchNorm, vec![x])
         .expect(ok);
 
     if stride == 1 && in_channels == out_channels {
-        m.add_node(&format!("{b}_add"), Layer::Add, vec![input, x])
+        m.add_node(format!("{b}_add"), Layer::Add, vec![input, x])
             .expect(ok);
     }
 }

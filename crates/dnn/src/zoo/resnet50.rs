@@ -71,17 +71,17 @@ fn bottleneck(m: &mut Model, name: &str, width: u32, stride: u32, project: bool)
 
     let c1 = m
         .add_node(
-            &format!("{name}_1_conv"),
+            format!("{name}_1_conv"),
             Layer::conv(width, 1, stride, Padding::Valid),
             vec![input],
         )
         .expect(ok);
     let c1 = m
-        .add_node(&format!("{name}_1_bn"), Layer::BatchNorm, vec![c1])
+        .add_node(format!("{name}_1_bn"), Layer::BatchNorm, vec![c1])
         .expect(ok);
     let c1 = m
         .add_node(
-            &format!("{name}_1_relu"),
+            format!("{name}_1_relu"),
             Layer::Activation(Activation::Relu),
             vec![c1],
         )
@@ -89,17 +89,17 @@ fn bottleneck(m: &mut Model, name: &str, width: u32, stride: u32, project: bool)
 
     let c2 = m
         .add_node(
-            &format!("{name}_2_conv"),
+            format!("{name}_2_conv"),
             Layer::conv(width, 3, 1, Padding::Same),
             vec![c1],
         )
         .expect(ok);
     let c2 = m
-        .add_node(&format!("{name}_2_bn"), Layer::BatchNorm, vec![c2])
+        .add_node(format!("{name}_2_bn"), Layer::BatchNorm, vec![c2])
         .expect(ok);
     let c2 = m
         .add_node(
-            &format!("{name}_2_relu"),
+            format!("{name}_2_relu"),
             Layer::Activation(Activation::Relu),
             vec![c2],
         )
@@ -107,34 +107,34 @@ fn bottleneck(m: &mut Model, name: &str, width: u32, stride: u32, project: bool)
 
     let c3 = m
         .add_node(
-            &format!("{name}_3_conv"),
+            format!("{name}_3_conv"),
             Layer::conv(width * 4, 1, 1, Padding::Valid),
             vec![c2],
         )
         .expect(ok);
     let c3 = m
-        .add_node(&format!("{name}_3_bn"), Layer::BatchNorm, vec![c3])
+        .add_node(format!("{name}_3_bn"), Layer::BatchNorm, vec![c3])
         .expect(ok);
 
     let shortcut = if project {
         let p = m
             .add_node(
-                &format!("{name}_0_conv"),
+                format!("{name}_0_conv"),
                 Layer::conv(width * 4, 1, stride, Padding::Valid),
                 vec![input],
             )
             .expect(ok);
-        m.add_node(&format!("{name}_0_bn"), Layer::BatchNorm, vec![p])
+        m.add_node(format!("{name}_0_bn"), Layer::BatchNorm, vec![p])
             .expect(ok)
     } else {
         input
     };
 
     let sum = m
-        .add_node(&format!("{name}_add"), Layer::Add, vec![shortcut, c3])
+        .add_node(format!("{name}_add"), Layer::Add, vec![shortcut, c3])
         .expect(ok);
     m.add_node(
-        &format!("{name}_out"),
+        format!("{name}_out"),
         Layer::Activation(Activation::Relu),
         vec![sum],
     )

@@ -23,13 +23,14 @@ pub fn vgg16() -> Model {
     for (bi, &(convs, channels)) in blocks.iter().enumerate() {
         for ci in 0..convs {
             let name = format!("block{}_conv{}", bi + 1, ci + 1);
-            m.push(&name, Layer::conv(channels, 3, 1, Padding::Same))
+            let relu = format!("{name}_relu");
+            m.push(name, Layer::conv(channels, 3, 1, Padding::Same))
                 .expect("vgg16 graph is well-formed");
-            m.push(&format!("{name}_relu"), Layer::Activation(Activation::Relu))
+            m.push(relu, Layer::Activation(Activation::Relu))
                 .expect("vgg16 graph is well-formed");
         }
         m.push(
-            &format!("block{}_pool", bi + 1),
+            format!("block{}_pool", bi + 1),
             Layer::MaxPool {
                 size: 2,
                 stride: 2,

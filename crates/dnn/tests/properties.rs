@@ -24,7 +24,7 @@ fn random_cnn() -> impl Strategy<Value = Model> {
                     .unwrap_or(m.input_shape());
                 let stride = if cur.h / stride >= 4 { stride } else { 1 };
                 m.push(
-                    &format!("conv{i}"),
+                    format!("conv{i}"),
                     Layer::conv(out_c, k, stride, Padding::Same),
                 )
                 .expect("same-padded conv always fits");

@@ -498,6 +498,20 @@ impl ServeConfig {
                 reason: format!("load scale {} not positive", self.load_scale),
             });
         }
+        // A finite rate times a finite scale can still overflow, and the
+        // arrival stream draws at the product.
+        if let Some(m) = self
+            .models
+            .iter()
+            .find(|m| !(m.rate_rps * self.load_scale).is_finite())
+        {
+            return Err(ServeError::BadConfig {
+                reason: format!(
+                    "model {} offered rate {} × load scale {} is not finite",
+                    m.name, m.rate_rps, self.load_scale
+                ),
+            });
+        }
         if self.batching.is_continuous() && self.batching.max_batch() == 0 {
             return Err(ServeError::BadConfig {
                 reason: "continuous batching needs max_batch of at least 1".into(),
@@ -587,6 +601,25 @@ mod tests {
         let mut bad_step = base;
         bad_step.models[0].decode_steps = vec![vec![]];
         assert!(bad_step.validate().is_err());
+    }
+
+    #[test]
+    fn overflowing_offered_rate_is_rejected_at_every_entry_point() {
+        let base = ServeConfig::new(
+            PlatformConfig::paper_table1(),
+            Platform::Siph2p5D,
+            lenet_mix(),
+        )
+        .with_duration_s(0.01);
+        let profiles = crate::build_profiles(&base).expect("profiles build");
+        let mut huge = base.with_load_scale(1e200);
+        huge.models[0].rate_rps = 1e200;
+        // Each value is finite; their product is not.
+        let err = huge.validate().expect_err("offered rate overflows");
+        assert!(err.to_string().contains("model lenet5"), "{err}");
+        assert!(crate::build_profiles(&huge).is_err());
+        assert!(crate::simulate(&huge).is_err());
+        assert!(crate::simulate_with_profiles(&huge, &profiles).is_err());
     }
 
     #[test]

@@ -63,6 +63,22 @@
 //! `decode-tick` span under continuous batching, the request's own
 //! `decode` segment per-stream.
 //!
+//! # Cost of an event
+//!
+//! An event costs in proportion to what changed. Under uniform sharing
+//! the streams that run one model's stage with one member count hold
+//! one service time at an event, so the loop computes one service and
+//! one `dt / service` per such **service group** (under SLO-pressure
+//! weights each stream is its own group), and finds the earliest
+//! completion in the pass that assigns them. Flow-level shares come
+//! from a graph of the residency mixes the run meets: an event walks
+//! from the previous mix's node by a few integer compares instead of
+//! hashing its mix, and water-fills a mix once. Each stream still sees
+//! exactly the float operations it would see on its own: the service
+//! its own lookup returns, `dt / service`, `(remaining - step).max(0)`
+//! and `now + remaining * service`, with ties to the lowest stream
+//! index. So grouping never moves a report bit.
+//!
 //! # Horizon censoring
 //!
 //! The simulation hard-stops at the horizon: requests still queued or
@@ -149,10 +165,13 @@ struct Cohort {
     started_s: f64,
     /// Members in joining order. Non-empty; one unless a decode group.
     members: Vec<Resident>,
+    /// The [`ServiceSlots`] slot of the current stage or tick: its model,
+    /// stage and member count.
+    slot: usize,
 }
 
 impl Cohort {
-    fn new(model: usize, members: Vec<Resident>, now: f64) -> Self {
+    fn new(model: usize, members: Vec<Resident>, now: f64, slots: &ServiceSlots) -> Self {
         let mut cohort = Cohort {
             model,
             stage: 0,
@@ -160,13 +179,14 @@ impl Cohort {
             remaining: 1.0,
             started_s: now,
             members,
+            slot: 0,
         };
-        cohort.restart(now);
+        cohort.restart(now, slots);
         cohort
     }
 
     /// Starts the next stage or tick at `now` over the current members.
-    fn restart(&mut self, now: f64) {
+    fn restart(&mut self, now: f64, slots: &ServiceSlots) {
         self.stage = self
             .members
             .iter()
@@ -176,6 +196,7 @@ impl Cohort {
         self.anchor = self.members.iter().map(|r| r.seq).min().expect("non-empty");
         self.remaining = 1.0;
         self.started_s = now;
+        self.slot = slots.slot(self.model, self.stage, self.members.len());
     }
 
     /// Service time of the current stage or tick as one of `k` streams
@@ -194,6 +215,43 @@ impl Cohort {
             1 => profile.stage_service_at_share(self.stage, share),
             b => profile.batched_stage_service_at_share(self.stage, b, share),
         }
+    }
+}
+
+/// One slot per (model, stage, member count) an execution stream can
+/// run: model `m`'s `n_stages × cap[m]` slots are consecutive,
+/// stage-major. Under uniform sharing the streams of one slot share
+/// one service time at every event ([`Services`]).
+struct ServiceSlots {
+    /// Per-model batch-group cap: the configured cap (1 per-stream), clamped
+    /// to the planes the profile actually tabulates.
+    cap: Vec<usize>,
+    /// Each model's first slot, then the slot count.
+    base: Vec<usize>,
+}
+
+impl ServiceSlots {
+    fn new(cfg: &ServeConfig, profiles: &ServiceProfiles) -> Self {
+        let cap: Vec<usize> = profiles
+            .models
+            .iter()
+            .map(|p| p.max_batch().min(cfg.effective_max_batch()).max(1))
+            .collect();
+        let mut base = vec![0];
+        for (p, &cap) in profiles.models.iter().zip(&cap) {
+            base.push(base[base.len() - 1] + p.n_stages() * cap);
+        }
+        ServiceSlots { cap, base }
+    }
+
+    fn len(&self) -> usize {
+        self.base[self.base.len() - 1]
+    }
+
+    /// The slot of `model`'s stage `stage` run by `members` members
+    /// (`1..=cap[model]`).
+    fn slot(&self, model: usize, stage: usize, members: usize) -> usize {
+        self.base[model] + stage * self.cap[model] + members - 1
     }
 }
 
@@ -545,65 +603,123 @@ impl SimTallies {
 }
 
 /// Each model's max-min bandwidth share under every residency mix one
-/// flow-level simulation meets, water-filled once per mix.
+/// flow-level simulation meets, kept as a graph of those mixes.
 ///
 /// Each execution stream is one flow on its model's route (flow-level
 /// contention runs per-stream decode only, so every stream is one
-/// request). The memo is exact: [`max_min_shares`] is a function of the
-/// route multiset, so the per-model stream counts fix every stream's
-/// share bit for bit, whatever order the streams hold. A run meets few
-/// distinct mixes across many events, and never more mixes than events.
+/// request). A mix is its per-model stream counts, and each distinct
+/// count vector met is one node. A node holds its counts, its per-model
+/// shares (water-filled over the mix's model-major expansion on its
+/// first lookup) and, per model, an edge to the mix with one stream of
+/// that model fewer and one with one more, each memoized the first time
+/// it is taken. A lookup walks edges from the previous lookup's node,
+/// model by model, until every count matches: between two events the
+/// counts move by a stream or two, so that is a few integer compares,
+/// with no hashing and no allocation. The count-vector index is
+/// consulted only when an edge is first taken, and a walk through a mix
+/// that is never looked up does not water-fill it. So the graph holds
+/// no more nodes than the mixes the run steps through, and a run meets
+/// few of them across many events.
+///
+/// The shares are exact: [`max_min_shares`] is a function of the route
+/// multiset, so the per-model counts fix every stream's share bit for
+/// bit, whatever order the streams hold.
 struct FlowShares<'p> {
     flow: &'p FlowModel,
-    /// Per-model stream counts of the mix being looked up.
+    nodes: Vec<MixNode>,
+    /// Per-model counts → node.
+    index: HashMap<Vec<u32>, u32>,
+    /// The node of the last lookup, where the next walk starts.
+    at: usize,
+}
+
+/// One residency mix in [`FlowShares`]' graph.
+struct MixNode {
     counts: Vec<u32>,
-    /// Per-model stream counts → per-model share (`NaN` for a model
-    /// with no stream in that mix; it is never read).
-    memo: HashMap<Vec<u32>, Vec<f64>>,
+    /// Per-model share (`NaN` for a model with no stream in the mix; it
+    /// is never read). Empty until the mix is first looked up.
+    shares: Vec<f64>,
+    /// Per model: the node with one stream of it fewer, then one more
+    /// ([`UNTAKEN`] until that edge is first taken).
+    edges: Vec<[u32; 2]>,
+}
+
+/// A mix-graph edge not taken yet.
+const UNTAKEN: u32 = u32::MAX;
+
+impl MixNode {
+    fn new(counts: Vec<u32>) -> Self {
+        MixNode {
+            edges: vec![[UNTAKEN; 2]; counts.len()],
+            counts,
+            shares: Vec::new(),
+        }
+    }
 }
 
 impl<'p> FlowShares<'p> {
+    /// A graph holding the empty mix.
     fn new(flow: &'p FlowModel) -> Self {
+        let empty = vec![0; flow.routes.len()];
         FlowShares {
             flow,
-            counts: vec![0; flow.routes.len()],
-            memo: HashMap::new(),
+            index: HashMap::from([(empty.clone(), 0)]),
+            nodes: vec![MixNode::new(empty)],
+            at: 0,
         }
     }
 
-    /// Writes each stream's flow-level service time into `services`:
-    /// its flow plane at compute level `k` looked up at its model's
-    /// share. A mix seen before allocates nothing.
-    fn services(
-        &mut self,
-        profiles: &ServiceProfiles,
-        streams: &[Cohort],
-        services: &mut Vec<f64>,
-    ) {
-        self.counts.fill(0);
-        for s in streams {
-            self.counts[s.model] += 1;
+    /// Each model's share in the mix of per-model stream counts
+    /// `counts`.
+    fn shares(&mut self, counts: &[u32]) -> &[f64] {
+        let mut at = self.at;
+        for (m, &c) in counts.iter().enumerate() {
+            while self.nodes[at].counts[m] != c {
+                let up = self.nodes[at].counts[m] < c;
+                at = self.neighbour(at, m, up);
+            }
         }
-        let shares = match self.memo.get(self.counts.as_slice()) {
-            Some(shares) => shares,
+        self.at = at;
+        if self.nodes[at].shares.is_empty() {
+            let shares = self.water_fill(&self.nodes[at].counts);
+            self.nodes[at].shares = shares;
+        }
+        &self.nodes[at].shares
+    }
+
+    /// The node one stream of model `m` away from node `from` (one more
+    /// when `up`), taking its edge (both ways) the first time.
+    fn neighbour(&mut self, from: usize, m: usize, up: bool) -> usize {
+        let dir = usize::from(up);
+        let to = self.nodes[from].edges[m][dir];
+        if to != UNTAKEN {
+            return to as usize;
+        }
+        let mut counts = self.nodes[from].counts.clone();
+        if up {
+            counts[m] += 1;
+        } else {
+            counts[m] -= 1;
+        }
+        let to = match self.index.get(&counts) {
+            Some(&to) => to,
             None => {
-                let shares = self.water_fill();
-                self.memo.entry(self.counts.clone()).or_insert(shares)
+                let to =
+                    u32::try_from(self.nodes.len()).expect("a run meets fewer than 2^32 mixes");
+                self.nodes.push(MixNode::new(counts.clone()));
+                self.index.insert(counts, to);
+                to
             }
         };
-        let k = streams.len();
-        services.extend(
-            streams
-                .iter()
-                .map(|s| profiles.models[s.model].flow_stage_service(s.stage, k, shares[s.model])),
-        );
+        self.nodes[from].edges[m][dir] = to;
+        self.nodes[to as usize].edges[m][1 - dir] = from as u32;
+        to as usize
     }
 
-    /// Per-model shares of the current mix: one water-fill over its
+    /// Per-model shares of the mix `counts`: one water-fill over its
     /// model-major expansion.
-    fn water_fill(&self) -> Vec<f64> {
-        let routes: Vec<FlowRoute> = self
-            .counts
+    fn water_fill(&self, counts: &[u32]) -> Vec<f64> {
+        let routes: Vec<FlowRoute> = counts
             .iter()
             .zip(&self.flow.routes)
             .flat_map(|(&c, route)| std::iter::repeat_n(route, c as usize))
@@ -612,8 +728,8 @@ impl<'p> FlowShares<'p> {
         let alloc = max_min_shares(&self.flow.topology, &routes)
             .expect("topology and routes validated at config time");
         let mut first = 0;
-        let mut shares = Vec::with_capacity(self.counts.len());
-        for &c in &self.counts {
+        let mut shares = Vec::with_capacity(counts.len());
+        for &c in counts {
             shares.push(if c == 0 { f64::NAN } else { alloc.share(first) });
             first += c as usize;
         }
@@ -621,63 +737,150 @@ impl<'p> FlowShares<'p> {
     }
 }
 
-/// Per-stream service times of the current stage or tick under the
-/// configured sharing discipline, frozen at `now`, written into
-/// `services` (cleared first). `flow_shares` is the run's share memo,
-/// present exactly under flow-level contention.
+/// Each event's service times under the configured sharing discipline,
+/// frozen at the event: one per group of streams that share one.
 ///
-/// Uniform sharing indexes the tabulated `1/k` contention level
-/// directly (the hot path — it runs on every event). SLO-pressure
-/// weights are inverse EDF slack (floored at `SLACK_FLOOR_S`; a group
-/// weighs the sum of its members' pressures), normalized into shares
-/// and looked up through the same tables in share space
-/// (`ModelProfile::stage_service_at_share`) — a lookup that returns the
-/// tabulated values bit-for-bit whenever the shares are the uniform
+/// Under uniform sharing, on either contention tier, a stream's service
+/// is a function of its model, stage and member count (its
+/// [`ServiceSlots`] slot) and of the event's mix, so the streams of one
+/// slot form a group: the first of them opens the group at an event and
+/// the rest read its service. Uniform contention indexes the tabulated
+/// `1/k` contention level directly. Flow-level contention looks the
+/// model's flow plane at level `k` up at its max-min share over the
+/// platform's link set ([`FlowShares`]): a route that shares no
+/// bottleneck gets share 1.0 (the uncontended column), and when every
+/// route crosses every bottleneck the shares are exactly `1/k` and the
+/// lookup returns the uniform table bit for bit.
+///
+/// Under SLO-pressure sharing each stream's service follows its own
+/// weight, so each stream is its own group. Weights are inverse EDF
+/// slack (floored at `SLACK_FLOOR_S`; a decode group weighs the sum of
+/// its members' pressures), normalized into shares and looked up
+/// through the same tables in share space
+/// (`ModelProfile::stage_service_at_share`). That lookup returns the
+/// tabulated values bit for bit whenever the shares are the uniform
 /// `1/k` (equal weights, or a single stream), so the two disciplines
 /// agree exactly wherever their allocations coincide (property-tested
 /// in `tests/properties.rs`).
-fn stream_services(
-    cfg: &ServeConfig,
-    profiles: &ServiceProfiles,
-    streams: &[Cohort],
-    now: f64,
-    flow_shares: Option<&mut FlowShares>,
-    services: &mut Vec<f64>,
-) {
-    services.clear();
-    if let Some(flow_shares) = flow_shares {
-        // Topology-aware bandwidth shares: each stream's max-min share
-        // over the platform's link set. A stream whose route shares no
-        // bottleneck gets share 1.0 (the uncontended column); when
-        // every route crosses every bottleneck the shares are exactly
-        // `1/k` and the lookup returns the uniform table bit-for-bit.
-        flow_shares.services(profiles, streams, services);
-        return;
-    }
-    match cfg.sharing {
-        SharePolicy::Uniform => {
-            let k = streams.len();
-            services.extend(
-                streams
-                    .iter()
-                    .map(|s| s.service(&profiles.models[s.model], k)),
-            );
+///
+/// The discipline only decides groups and their services; the scan for
+/// the earliest completion and the advance are shared. Each stream's
+/// float operations keep their operands: its service is the value its
+/// own lookup would return, and its step is its group's `dt / service`.
+struct Services<'p> {
+    cfg: &'p ServeConfig,
+    profiles: &'p ServiceProfiles,
+    /// The run's mix graph, present exactly under flow-level contention.
+    flow: Option<FlowShares<'p>>,
+    /// Per-model stream counts of the event's mix (flow-level only).
+    counts: Vec<u32>,
+    /// Each stream's group at the event, in stream order.
+    group: Vec<usize>,
+    /// Each group's service time at the event, seconds.
+    service: Vec<f64>,
+    /// Each group's progress over an advance of `dt`: `dt / service`.
+    step: Vec<f64>,
+    /// Per slot: the last event that opened its group, and that group.
+    open: Vec<(u64, usize)>,
+    /// Events scanned so far.
+    event: u64,
+}
+
+impl<'p> Services<'p> {
+    fn new(cfg: &'p ServeConfig, profiles: &'p ServiceProfiles, slots: &ServiceSlots) -> Self {
+        let flow = match cfg.contention {
+            ContentionKind::FlowLevel => Some(FlowShares::new(
+                profiles
+                    .flow
+                    .as_ref()
+                    .expect("flow-level validation guarantees a flow model"),
+            )),
+            ContentionKind::Uniform => None,
+        };
+        Services {
+            cfg,
+            profiles,
+            flow,
+            counts: vec![0; cfg.models.len()],
+            group: Vec::with_capacity(cfg.max_concurrency),
+            service: Vec::with_capacity(cfg.max_concurrency),
+            step: Vec::with_capacity(cfg.max_concurrency),
+            open: vec![(0, 0); slots.len()],
+            event: 0,
         }
-        SharePolicy::SloPressure => {
+    }
+
+    /// Assigns each stream its group and each group its service time at
+    /// `now`, and returns the earliest completion as `(time, stream)`:
+    /// the first strictly smallest `now + remaining * service`, so ties
+    /// break by stream order.
+    fn earliest(&mut self, streams: &[Cohort], now: f64) -> Option<(f64, usize)> {
+        self.group.clear();
+        self.service.clear();
+        self.event += 1;
+        let k = streams.len();
+        let weighted = self.cfg.sharing == SharePolicy::SloPressure;
+        if weighted {
             // Weights first, then each weight becomes its service time.
-            services.extend(streams.iter().map(|s| {
+            let models = &self.cfg.models;
+            self.service.extend(streams.iter().map(|s| {
                 s.members
                     .iter()
                     .map(|r| {
-                        let deadline = r.arrival_s + cfg.models[r.model].slo_ms * 1e-3;
+                        let deadline = r.arrival_s + models[r.model].slo_ms * 1e-3;
                         1.0 / (deadline - now).max(SLACK_FLOOR_S)
                     })
                     .sum::<f64>()
             }));
-            let total: f64 = services.iter().sum();
-            for (w, s) in services.iter_mut().zip(streams) {
-                *w = s.service_at_share(&profiles.models[s.model], *w / total);
+            let total: f64 = self.service.iter().sum();
+            for (w, s) in self.service.iter_mut().zip(streams) {
+                *w = s.service_at_share(&self.profiles.models[s.model], *w / total);
             }
+        }
+        let shares = match &mut self.flow {
+            Some(flow) if k > 0 => {
+                self.counts.fill(0);
+                for s in streams {
+                    self.counts[s.model] += 1;
+                }
+                Some(flow.shares(&self.counts))
+            }
+            _ => None,
+        };
+        let mut earliest: Option<(f64, usize)> = None;
+        for (j, s) in streams.iter().enumerate() {
+            let g = if weighted {
+                j
+            } else {
+                let (event, g) = &mut self.open[s.slot];
+                if *event != self.event {
+                    *event = self.event;
+                    *g = self.service.len();
+                    let p = &self.profiles.models[s.model];
+                    self.service.push(match shares {
+                        Some(shares) => p.flow_stage_service(s.stage, k, shares[s.model]),
+                        None => s.service(p, k),
+                    });
+                }
+                *g
+            };
+            self.group.push(g);
+            let tc = now + s.remaining * self.service[g];
+            if earliest.is_none_or(|(t, _)| tc.total_cmp(&t).is_lt()) {
+                earliest = Some((tc, j));
+            }
+        }
+        earliest
+    }
+
+    /// Advances every stream's remaining work over `dt` at the services
+    /// [`earliest`](Self::earliest) assigned.
+    fn advance(&mut self, streams: &mut [Cohort], dt: f64) {
+        self.step.clear();
+        self.step
+            .extend(self.service.iter().map(|service| dt / service));
+        for (s, &g) in streams.iter_mut().zip(&self.group) {
+            s.remaining = (s.remaining - self.step[g]).max(0.0);
         }
     }
 }
@@ -1048,13 +1251,7 @@ fn run(
     let n = cfg.models.len();
     let horizon = cfg.duration_s;
     let continuous = cfg.batching.is_continuous();
-    // Per-model group cap: the configured cap (1 per-stream), clamped
-    // to the planes the profile actually tabulates.
-    let model_cap: Vec<usize> = profiles
-        .models
-        .iter()
-        .map(|p| p.max_batch().min(cfg.effective_max_batch()).max(1))
-        .collect();
+    let slots = ServiceSlots::new(cfg, profiles);
 
     let mut t = SimTallies::new(n);
     let mut queues: Vec<VecDeque<Pending>> = vec![VecDeque::new(); n];
@@ -1068,16 +1265,7 @@ fn run(
     let mut rr_cursor = 0usize;
     let mut now = 0.0f64;
     let mut next_arrival = 0usize;
-    let mut flow_shares = match cfg.contention {
-        ContentionKind::FlowLevel => Some(FlowShares::new(
-            profiles
-                .flow
-                .as_ref()
-                .expect("flow-level validation guarantees a flow model"),
-        )),
-        ContentionKind::Uniform => None,
-    };
-    let mut services: Vec<f64> = Vec::with_capacity(cfg.max_concurrency);
+    let mut services = Services::new(cfg, profiles, &slots);
 
     enum Event {
         /// Stream `j` finished its current stage or decode tick.
@@ -1086,23 +1274,9 @@ fn run(
     }
 
     loop {
-        // Per-stream service times under the sharing discipline,
-        // frozen at `now` (re-evaluated at every event).
-        stream_services(
-            cfg,
-            profiles,
-            &streams,
-            now,
-            flow_shares.as_mut(),
-            &mut services,
-        );
-        // Earliest completion (ties break by stream order).
-        let completion = streams
-            .iter()
-            .zip(&services)
-            .enumerate()
-            .map(|(j, (s, service))| (now + s.remaining * service, j))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        // Service times under the sharing discipline, frozen at `now`
+        // (re-evaluated at every event), and the earliest completion.
+        let completion = services.earliest(&streams, now);
         let arrival = arrivals.get(next_arrival).map(|p| p.arrival_s);
 
         // Completions win ties so a freed slot is visible to the
@@ -1126,9 +1300,7 @@ fn run(
         // Advance every stream's remaining work to `at`.
         let dt = at - now;
         if dt > 0.0 {
-            for (s, service) in streams.iter_mut().zip(&services) {
-                s.remaining = (s.remaining - dt / service).max(0.0);
-            }
+            services.advance(&mut streams, dt);
             t.concurrency_integral += streams.len() as f64 * dt;
         }
         now = at;
@@ -1150,7 +1322,7 @@ fn run(
                     t.ttfts[model].push(now - r.arrival_s);
                     r.stage = 1;
                     r.last_boundary_s = now;
-                    let cap = model_cap[model];
+                    let cap = slots.cap[model];
                     let joinable = cap > 1
                         && streams
                             .iter()
@@ -1166,7 +1338,7 @@ fn run(
                         // place, immediately (always the path at cap 1).
                         let s = &mut streams[j];
                         s.members[0] = r;
-                        s.restart(now);
+                        s.restart(now, &slots);
                     }
                 }
             }
@@ -1217,7 +1389,7 @@ fn run(
                 // Boundary admission: absorb waiters into the freed
                 // space, then regroup any leftovers so nobody waits
                 // past this boundary.
-                let cap = model_cap[model];
+                let cap = slots.cap[model];
                 while s.members.len() < cap {
                     let Some(r) = waiting[model].pop_front() else {
                         break;
@@ -1228,12 +1400,12 @@ fn run(
                 if s.members.is_empty() {
                     streams.remove(j);
                 } else {
-                    s.restart(now);
+                    s.restart(now, &slots);
                     regroup |= !waiting[model].is_empty();
                     while !waiting[model].is_empty() {
                         let take = waiting[model].len().min(cap);
                         let members = waiting[model].drain(..take).collect();
-                        streams.push(Cohort::new(model, members, now));
+                        streams.push(Cohort::new(model, members, now, &slots));
                     }
                     if regroup {
                         streams.sort_by_key(|s| s.anchor);
@@ -1267,7 +1439,7 @@ fn run(
                 id: p.id,
                 lane,
             };
-            streams.push(Cohort::new(model, vec![r], now));
+            streams.push(Cohort::new(model, vec![r], now, &slots));
             admitted += 1;
             n_resident += 1;
         }
@@ -1287,13 +1459,20 @@ fn run(
 }
 
 /// Rolls the event loop's tallies up into the report.
-fn roll_up(cfg: &ServeConfig, profiles: &ServiceProfiles, t: SimTallies) -> ServeReport {
+fn roll_up(cfg: &ServeConfig, profiles: &ServiceProfiles, mut t: SimTallies) -> ServeReport {
     let n = cfg.models.len();
     let horizon = cfg.duration_s;
+    // Each model's samples sorted once: its percentiles read them, and
+    // the aggregates merge them.
+    for samples in t
+        .latencies
+        .iter_mut()
+        .chain(&mut t.ttfts)
+        .chain(&mut t.token_gaps)
+    {
+        samples.sort_unstable_by(f64::total_cmp);
+    }
     let mut models = Vec::with_capacity(n);
-    let mut all_latencies = Vec::new();
-    let mut all_ttfts = Vec::new();
-    let mut all_token_gaps = Vec::new();
     let mut total_energy_j = 0.0f64;
     let mut total_bits = 0u64;
     let mut class_demand = [0.0f64; 4];
@@ -1331,10 +1510,8 @@ fn roll_up(cfg: &ServeConfig, profiles: &ServiceProfiles, t: SimTallies) -> Serv
             tokens,
             tokens_per_s: tokens as f64 / horizon,
         });
-        all_latencies.extend_from_slice(&t.latencies[i]);
-        all_ttfts.extend_from_slice(&t.ttfts[i]);
-        all_token_gaps.extend_from_slice(&t.token_gaps[i]);
     }
+    let all_token_gaps = merge_sorted(&t.token_gaps);
     let total_arrived: u64 = t.arrived.iter().sum();
     let total_served: u64 = models.iter().map(|m| m.served).sum();
     let mut class_utilization = [0.0f64; 4];
@@ -1355,8 +1532,8 @@ fn roll_up(cfg: &ServeConfig, profiles: &ServiceProfiles, t: SimTallies) -> Serv
         total_arrived,
         total_served,
         aggregate_throughput_rps: total_served as f64 / horizon,
-        aggregate_latency: Percentiles::from_seconds(&all_latencies),
-        aggregate_ttft: Percentiles::from_seconds(&all_ttfts),
+        aggregate_latency: Percentiles::from_seconds(&merge_sorted(&t.latencies)),
+        aggregate_ttft: Percentiles::from_seconds(&merge_sorted(&t.ttfts)),
         aggregate_per_token: Percentiles::from_seconds(&all_token_gaps),
         aggregate_tokens_per_s: all_token_gaps.len() as f64 / horizon,
         batch: BatchStats::from_samples(&t.tick_occupancy),
@@ -1369,6 +1546,30 @@ fn roll_up(cfg: &ServeConfig, profiles: &ServiceProfiles, t: SimTallies) -> Serv
             0.0
         },
     }
+}
+
+/// Merges sample vectors, each sorted by [`f64::total_cmp`], into one
+/// sorted vector: the array sorting their concatenation gives, since
+/// samples that compare equal have equal bits.
+fn merge_sorted(runs: &[Vec<f64>]) -> Vec<f64> {
+    let mut merged = Vec::new();
+    for run in runs {
+        let mut out = Vec::with_capacity(merged.len() + run.len());
+        let (mut i, mut j) = (0, 0);
+        while i < merged.len() && j < run.len() {
+            if run[j].total_cmp(&merged[i]).is_lt() {
+                out.push(run[j]);
+                j += 1;
+            } else {
+                out.push(merged[i]);
+                i += 1;
+            }
+        }
+        out.extend_from_slice(&merged[i..]);
+        out.extend_from_slice(&run[j..]);
+        merged = out;
+    }
+    merged
 }
 
 #[cfg(test)]
@@ -1618,6 +1819,105 @@ mod tests {
             in_service(&weighted, 0) > in_service(&uniform, 0),
             "loose-SLO streams should pay for the tight model's shares"
         );
+    }
+
+    /// SplitMix64: the seeded generator behind the mix-graph walks.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        /// A value in `0..n`.
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    #[test]
+    fn mix_graph_lookups_equal_fresh_water_fills() {
+        use lumos_core::flow::FlowTopology;
+        use std::collections::HashSet;
+
+        let topology =
+            FlowTopology::for_platform(&PlatformConfig::paper_table1(), Platform::Elec2p5D)
+                .expect("Elec link set");
+        // `tests/flow_goldens.rs`' partly overlapping routes: LeNet5
+        // layer 0 (chiplets 3–4), LeNet5 layer 3 (chiplets 0–1) and
+        // ResNet-50 layer 0 (chiplet 2), then one over chiplets 1–3
+        // that overlaps each of them in part.
+        let routes: Vec<FlowRoute> = [&[3, 4][..], &[0, 1], &[2], &[1, 2, 3]]
+            .iter()
+            .map(|chiplets| topology.route_for_chiplets(chiplets))
+            .collect();
+        let mut rng = SplitMix(0x6d69_7867_7261_7068);
+        let (mut off_grid, mut revisits) = (0, 0);
+        for n in 2..=4 {
+            for k_max in [3, 8, 16] {
+                let flow = FlowModel {
+                    topology: topology.clone(),
+                    routes: routes[..n].to_vec(),
+                };
+                let mut graph = FlowShares::new(&flow);
+                let mut counts = vec![0u32; n];
+                // Every mix the lookups walk through, model by model as
+                // the graph walks.
+                let mut met = HashSet::from([counts.clone()]);
+                for _ in 0..300 {
+                    let mut walk = counts.clone();
+                    // One to three single-stream changes, at most
+                    // `k_max` streams in all.
+                    for _ in 0..=rng.below(3) {
+                        let m = rng.below(n);
+                        let total: u32 = counts.iter().sum();
+                        if rng.below(2) == 0 && total < k_max {
+                            counts[m] += 1;
+                        } else if counts[m] > 0 {
+                            counts[m] -= 1;
+                        }
+                    }
+                    revisits += usize::from(met.contains(&counts));
+                    for (m, &c) in counts.iter().enumerate() {
+                        while walk[m] != c {
+                            walk[m] = if walk[m] < c {
+                                walk[m] + 1
+                            } else {
+                                walk[m] - 1
+                            };
+                            met.insert(walk.clone());
+                        }
+                    }
+
+                    let got = graph.shares(&counts).to_vec();
+                    let expanded: Vec<FlowRoute> = counts
+                        .iter()
+                        .zip(&flow.routes)
+                        .flat_map(|(&c, route)| std::iter::repeat_n(route.clone(), c as usize))
+                        .collect();
+                    let fresh = max_min_shares(&flow.topology, &expanded).expect("solves");
+                    let mut first = 0;
+                    for (m, &c) in counts.iter().enumerate() {
+                        if c == 0 {
+                            assert!(got[m].is_nan(), "{counts:?}: model {m} has no stream");
+                        } else {
+                            let want = fresh.share(first);
+                            assert_eq!(
+                                got[m].to_bits(),
+                                want.to_bits(),
+                                "{counts:?}: model {m} share {} vs fresh {want}",
+                                got[m]
+                            );
+                            off_grid += usize::from((1..=64).all(|j| want != 1.0 / j as f64));
+                        }
+                        first += c as usize;
+                    }
+                    assert_eq!(graph.nodes.len(), met.len(), "one node per mix met");
+                }
+            }
+        }
+        assert!(off_grid > 0, "the routes must water-fill off the 1/j grid");
+        assert!(revisits > 0, "the walks must revisit mixes");
     }
 
     #[test]
