@@ -15,15 +15,12 @@
 //!
 //! # Examples
 //!
-//! The harness plumbing is reusable: argument parsing for worker
-//! counts, ratio formatting, and the aligned-column [`Table`] renderer
-//! every example prints through.
+//! The harness plumbing is reusable: ratio formatting and the
+//! aligned-column [`Table`] renderer every example prints through.
 //!
 //! ```
-//! use lumos_bench::{ratio, thread_override_from_args, Align, Table};
+//! use lumos_bench::{ratio, Align, Table};
 //!
-//! let args = vec!["--threads".to_string(), "4".to_string()];
-//! assert_eq!(thread_override_from_args(args), Some(4));
 //! assert_eq!(ratio(34.9, 1.1), "31.7x");
 //!
 //! let mut t = Table::new(&[("model", Align::Left), ("ms", Align::Right)]);
@@ -45,7 +42,7 @@ pub use table::{Align, Table};
 /// Parses a `--threads N` / `--threads=N` override out of a command
 /// line. Returns `None` when absent or unparseable (the caller falls
 /// back to [`lumos_dse::available_threads`]).
-pub fn thread_override_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<usize> {
+fn thread_override_from_args<I: IntoIterator<Item = String>>(args: I) -> Option<usize> {
     let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         if arg == "--threads" {
@@ -59,7 +56,7 @@ pub fn thread_override_from_args<I: IntoIterator<Item = String>>(args: I) -> Opt
 }
 
 /// Removes the `--threads N` / `--threads=N` flag (the syntax
-/// [`thread_override_from_args`] consumes) from an argument list,
+/// [`bench_threads`] reads) from an argument list,
 /// returning the remaining positional arguments — the shared parser for
 /// harness binaries that also take positional selectors.
 pub fn strip_thread_flags<I: IntoIterator<Item = String>>(args: I) -> Vec<String> {

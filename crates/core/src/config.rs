@@ -201,15 +201,6 @@ impl PlatformConfig {
         (first..first + self.class(class).chiplets).collect()
     }
 
-    /// Total MAC *lanes* across the platform (the Σ units × lanes
-    /// capacity figure).
-    pub fn total_lanes(&self) -> u64 {
-        MacClass::all()
-            .iter()
-            .map(|&c| self.class(c).total_units() as u64 * c.lanes() as u64)
-            .sum()
-    }
-
     /// Checks internal consistency (gateway divisibility, chiplet counts
     /// matching the photonic network) and the ranges of the HBM,
     /// photonic-network and calibration values, so that no run of a
@@ -299,8 +290,6 @@ mod tests {
         assert_eq!(cfg.conv7.total_units(), 8);
         assert_eq!(cfg.conv5.total_units(), 32);
         assert_eq!(cfg.conv3.total_units(), 132);
-        // Σ units × lanes = 8·100 + 8·49 + 32·25 + 132·9.
-        assert_eq!(cfg.total_lanes(), 800 + 392 + 800 + 1188);
         cfg.validate().expect("Table 1 configuration validates");
     }
 

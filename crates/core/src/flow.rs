@@ -77,7 +77,7 @@ pub struct FlowLink {
 /// The electrical 2.5D floorplan shared by the runner and the flow
 /// model: memory chiplet at the centre of the 3×3 interposer mesh,
 /// compute chiplets around it in id order (Fig. 3).
-pub fn elec_floorplan() -> (Coord, Vec<Coord>) {
+pub(crate) fn elec_floorplan() -> (Coord, Vec<Coord>) {
     let mem = Coord::new(1, 1);
     let positions: Vec<Coord> = (0..3u32)
         .flat_map(|y| (0..3u32).map(move |x| Coord::new(x, y)))
@@ -111,8 +111,9 @@ impl FlowTopology {
     ///   memory-TX broadcast complement, and the HBM aggregate;
     /// * **Elec 2.5D** — every directed link of the 3×3 interposer mesh
     ///   at the Table 1 link rate (128 bits × 2 GHz), with routes
-    ///   derived by XY routing from the memory chiplet
-    ///   ([`elec_floorplan`]), plus the HBM aggregate;
+    ///   derived by XY routing from the memory chiplet (centre of the
+    ///   mesh, compute chiplets around it in id order), plus the HBM
+    ///   aggregate;
     /// * **Monolithic** — the on-chip distribution bus and the HBM
     ///   aggregate (all routes identical, so flow-level sharing
     ///   degenerates to the uniform model by construction).
@@ -362,11 +363,6 @@ impl FlowAllocation {
     /// Never exceeds the link's capacity (property-tested).
     pub fn link_allocated_gbps(&self, link: usize) -> f64 {
         self.link_allocated_gbps[link]
-    }
-
-    /// Number of flows in the allocation.
-    pub fn n_flows(&self) -> usize {
-        self.shares.len()
     }
 
     /// The [`ContentionModel`] of flow `flow`: `unit_share` of every

@@ -89,13 +89,8 @@ impl PlacementPolicy {
         self
     }
 
-    /// Whether no class is pinned (the [`place`] fast path).
-    pub fn is_unrestricted(&self) -> bool {
-        self.pins.is_empty()
-    }
-
     /// The chiplets `class` may use under this policy.
-    pub fn chiplets_for(&self, cfg: &PlatformConfig, class: MacClass) -> Vec<usize> {
+    fn chiplets_for(&self, cfg: &PlatformConfig, class: MacClass) -> Vec<usize> {
         match self.pins.iter().find(|(c, _)| *c == class) {
             Some((_, pinned)) => pinned.clone(),
             None => cfg.chiplet_ids_of(class),
@@ -104,7 +99,7 @@ impl PlacementPolicy {
 
     /// The unit pool `class` may use: its per-chiplet unit count times
     /// the allowed chiplet count.
-    pub fn units_for(&self, cfg: &PlatformConfig, class: MacClass) -> usize {
+    fn units_for(&self, cfg: &PlatformConfig, class: MacClass) -> usize {
         self.chiplets_for(cfg, class).len() * cfg.class(class).macs_per_chiplet
     }
 
@@ -155,7 +150,7 @@ impl PlacementPolicy {
 ///
 /// Returns [`CoreError::UnmappableLayer`] for kernels no class can
 /// chunk (zero-sized windows — impossible from a valid graph).
-pub fn class_for(workload: &LayerWorkload) -> Result<MacClass, CoreError> {
+fn class_for(workload: &LayerWorkload) -> Result<MacClass, CoreError> {
     let class = match workload.class {
         KernelClass::Dense | KernelClass::Gemm { .. } => MacClass::Dense100,
         KernelClass::Softmax | KernelClass::Norm => MacClass::Dense100,
@@ -252,7 +247,8 @@ fn gemm_shares(
 ///
 /// # Errors
 ///
-/// Propagates [`class_for`] failures.
+/// Returns [`CoreError::UnmappableLayer`] for a kernel no class can
+/// chunk (a zero-sized window).
 ///
 /// # Examples
 ///
@@ -280,7 +276,8 @@ pub fn place(cfg: &PlatformConfig, workload: &LayerWorkload) -> Result<Placement
 ///
 /// # Errors
 ///
-/// Propagates [`class_for`] failures and rejects invalid pins via
+/// Returns [`CoreError::UnmappableLayer`] for a kernel no class can
+/// chunk (a zero-sized window), and rejects invalid pins via
 /// [`PlacementPolicy::validate`].
 pub fn place_with(
     cfg: &PlatformConfig,

@@ -89,7 +89,7 @@ impl RunReport {
 
     /// Energy per transported bit, joules/bit (the paper's EPB metric;
     /// we state the denominator explicitly: interposer/memory traffic).
-    pub fn energy_per_bit(&self) -> f64 {
+    fn energy_per_bit(&self) -> f64 {
         if self.bits_moved > 0 {
             self.energy.total_j() / self.bits_moved as f64
         } else {
@@ -113,27 +113,6 @@ impl RunReport {
             return 0.0;
         }
         self.layers.iter().filter(|l| l.comm_bound()).count() as f64 / self.layers.len() as f64
-    }
-
-    /// Renders the per-layer trace as CSV (header + one row per layer),
-    /// for offline plotting of Fig. 7-style breakdowns.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("layer,class,start_us,finish_us,compute_us,comm_in_us,comm_out_us,bits\n");
-        for l in &self.layers {
-            out.push_str(&format!(
-                "{},{:?},{:.4},{:.4},{:.4},{:.4},{:.4},{}\n",
-                l.name,
-                l.class,
-                l.start.as_us_f64(),
-                l.finish.as_us_f64(),
-                l.compute_s * 1e6,
-                l.comm_in_s * 1e6,
-                l.comm_out_s * 1e6,
-                l.bits
-            ));
-        }
-        out
     }
 }
 

@@ -28,7 +28,7 @@ use lumos_dnn::workload::{extract_workloads, KernelClass};
 use lumos_dnn::{LayerWorkload, Model};
 use lumos_hbm::HbmStack;
 use lumos_metrics::{MetricId, MetricsRegistry};
-use lumos_noc::{Coord, LinkModel, MeshNetwork, MeshTransfer};
+use lumos_noc::{Coord, LinkModel, MeshNetwork};
 use lumos_phnet::controller::ActiveSet;
 use lumos_phnet::network::PhotonicInterposer;
 use lumos_sim::{BandwidthServer, SimTime};
@@ -37,6 +37,7 @@ use lumos_trace::{ArgValue, Tracer};
 use crate::config::{MacClass, PlatformConfig};
 use crate::contention::ContentionModel;
 use crate::error::CoreError;
+use crate::flow::elec_floorplan;
 use crate::mac::MacUnit;
 use crate::mapper::{place_with, Placement, PlacementPolicy};
 use crate::platform::Platform;
@@ -116,11 +117,11 @@ impl RunPlan<'_> {
     /// left, and it only moves the start. So the first occurrence of
     /// each shape is simulated, and every later one reuses its timing,
     /// moved to the layer's start, and replays only its accounting:
-    /// HBM energy and bits ([`HbmStack::account`]), EO/OE energy and
-    /// interposer bits ([`PhotonicInterposer::account_unicast`] and
-    /// its siblings), mesh per-hop energy, bits, latency samples and
-    /// last-finish mark ([`MeshNetwork::account_transfer`]), and the
-    /// monolithic bus's served bits ([`BandwidthServer::account`]).
+    /// HBM energy ([`HbmStack::account`]), EO/OE energy and interposer
+    /// bits ([`PhotonicInterposer::account_unicast`] and its
+    /// siblings), mesh per-hop energy
+    /// ([`MeshNetwork::account_transfer`]), and the monolithic bus's
+    /// served bits ([`BandwidthServer::account`]).
     /// These are the accounting halves the simulated streams call
     /// too, in the same order, so every report, trace and metrics
     /// export is bit-identical to simulating every layer. A replay
@@ -714,9 +715,8 @@ struct ShareSpan {
     secs: f64,
 }
 
-/// One mesh transfer a layer issued: issue instant, transfer, payload
-/// bits.
-type MeshSend = (SimTime, MeshTransfer, u64);
+/// One mesh transfer a layer issued: hops routed, payload bits.
+type MeshSend = (u32, u64);
 
 /// The simulated first occurrence of a shape within one execution:
 /// its start, its timing, and (electrical mesh only) the transfers a
@@ -843,7 +843,7 @@ impl Backend {
                 let hbm_a = hbm.read(start, w.input_bits).finish;
                 let mut send = |at: SimTime, dst: Coord, bits: u64| {
                     let t = net.transfer_packets(at, *mem, dst, bits, *packet_bits);
-                    mesh.push((at, t, bits));
+                    mesh.push((t.hops, bits));
                     t.finish
                 };
                 let mut net_fin = SimTime::ZERO;
@@ -904,7 +904,7 @@ impl Backend {
                 for &c in chiplets {
                     let t =
                         net.transfer_packets(at, positions[c], *mem, output_shard, *packet_bits);
-                    mesh.push((at, t, output_shard));
+                    mesh.push((t.hops, output_shard));
                     net_fin = net_fin.max(t.finish);
                 }
                 (hbm_fin, net_fin)
@@ -919,9 +919,8 @@ impl Backend {
     /// Charges a repeat of a layer whose timing is already known: the
     /// accounting half of every stream [`Backend::stream_in`] and
     /// [`Backend::stream_out`] issue, in their order per accumulator,
-    /// with `mesh` (the first occurrence's transfers) moved `shift`
-    /// later.
-    fn replay(&mut self, io: &LayerIo, mesh: &[MeshSend], shift: SimTime) {
+    /// with `mesh` the first occurrence's transfers.
+    fn replay(&mut self, io: &LayerIo, mesh: &[MeshSend]) {
         let LayerIo {
             w,
             chiplets,
@@ -945,13 +944,8 @@ impl Backend {
                 hbm.account(w.weight_bits);
                 hbm.account(w.input_bits);
                 hbm.account(w.output_bits);
-                for &(at, t, bits) in mesh {
-                    let moved = MeshTransfer {
-                        start: t.start + shift,
-                        finish: t.finish + shift,
-                        hops: t.hops,
-                    };
-                    net.account_transfer(at + shift, &moved, bits);
+                for &(hops, bits) in mesh {
+                    net.account_transfer(hops, bits);
                 }
             }
             Backend::Mono { bus, hbm } => {
@@ -1342,9 +1336,8 @@ impl Runner {
                 Some(first) => {
                     // A repeat over idle links: the first occurrence's
                     // timing, moved to this start, and its accounting.
-                    let shift = start - first.start;
-                    backend.replay(&io, &first.mesh, shift);
-                    first.times.shifted(shift)
+                    backend.replay(&io, &first.mesh);
+                    first.times.shifted(start - first.start)
                 }
                 None => {
                     let mut mesh = Vec::new();
@@ -1672,11 +1665,7 @@ impl Runner {
                     LinkModel::paper_table1(calib.hop_mm_2p5d).bandwidth_gbps() * bw,
                 )?;
                 let net = MeshNetwork::paper_table1_scaled(3, 3, calib.hop_mm_2p5d, bw);
-                let mem = Coord::new(1, 1);
-                let positions: Vec<Coord> = (0..3u32)
-                    .flat_map(|y| (0..3u32).map(move |x| Coord::new(x, y)))
-                    .filter(|&c| c != mem)
-                    .collect();
+                let (mem, positions) = elec_floorplan();
                 if positions.len() < self.cfg.compute_chiplets() {
                     return Err(CoreError::BadConfig {
                         reason: format!(
@@ -1850,19 +1839,6 @@ mod tests {
             .expect("lenet5 batch-1 runs on monolithic CrossLight");
         assert_eq!(single.total_latency, batch1.total_latency);
         assert_eq!(single.bits_moved, batch1.bits_moved);
-    }
-
-    #[test]
-    fn csv_trace_lists_all_layers() {
-        let r = runner();
-        let report = r
-            .run(&Platform::Siph2p5D, &zoo::lenet5())
-            .expect("lenet5 runs on 2.5D-SiPh");
-        let csv = report.to_csv();
-        let lines: Vec<&str> = csv.trim().lines().collect();
-        assert_eq!(lines.len(), 1 + report.layers.len());
-        assert!(lines[0].starts_with("layer,class,start_us"));
-        assert!(lines[1].starts_with("c1,"));
     }
 
     #[test]

@@ -73,7 +73,7 @@ impl MemoCache {
 
     /// The persistent cache directory: [`CACHE_DIR_ENV`] if set,
     /// otherwise [`DEFAULT_CACHE_DIR`].
-    pub fn default_dir() -> PathBuf {
+    fn default_dir() -> PathBuf {
         std::env::var_os(CACHE_DIR_ENV)
             .map(PathBuf::from)
             .unwrap_or_else(|| PathBuf::from(DEFAULT_CACHE_DIR))
@@ -157,8 +157,7 @@ impl MemoCache {
         self.map.is_empty()
     }
 
-    /// Lookups served from the memo since construction (or
-    /// [`MemoCache::reset_stats`]).
+    /// Lookups served from the memo since construction.
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -176,12 +175,6 @@ impl MemoCache {
     /// The backing file, when persistent.
     pub fn path(&self) -> Option<&Path> {
         self.path.as_deref()
-    }
-
-    /// Zeroes the hit/miss counters (e.g. between sweeps).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
     }
 
     /// Flushes buffered appends to disk.
@@ -417,8 +410,6 @@ mod tests {
         c.insert(5, sample(1.0));
         assert!(c.get(5).is_some());
         assert_eq!((c.hits(), c.misses()), (1, 1));
-        c.reset_stats();
-        assert_eq!((c.hits(), c.misses()), (0, 0));
         assert_eq!(c.len(), 1);
         assert!(c.path().is_none());
     }

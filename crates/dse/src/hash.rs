@@ -56,11 +56,6 @@ impl StableHasher {
         self.write_u64(s.len() as u64);
         self.write(s.as_bytes());
     }
-
-    /// Hashes a bool as one byte.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_u8(v as u8);
-    }
 }
 
 impl Default for StableHasher {

@@ -145,21 +145,21 @@ pub struct DseAxes {
 
 impl DseAxes {
     /// Wavelength axis of the paper-conclusion sweep (§VII).
-    pub const PAPER_WAVELENGTHS: &'static [usize] = &[16, 32, 64];
+    const PAPER_WAVELENGTHS: &'static [usize] = &[16, 32, 64];
     /// Gateway axis of the paper-conclusion sweep.
-    pub const PAPER_GATEWAYS: &'static [usize] = &[1, 2, 4];
+    const PAPER_GATEWAYS: &'static [usize] = &[1, 2, 4];
     /// MAC-scale axis of the paper-conclusion sweep.
-    pub const PAPER_MAC_SCALES: &'static [f64] = &[0.5, 1.0];
+    const PAPER_MAC_SCALES: &'static [f64] = &[0.5, 1.0];
 
     /// Wavelength axis of the `design_space` example grid.
-    pub const EXAMPLE_WAVELENGTHS: &'static [usize] = &[16, 32, 48, 64];
+    const EXAMPLE_WAVELENGTHS: &'static [usize] = &[16, 32, 48, 64];
     /// Gateway axis of the `design_space` example grid.
-    pub const EXAMPLE_GATEWAYS: &'static [usize] = &[1, 2, 4, 8];
+    const EXAMPLE_GATEWAYS: &'static [usize] = &[1, 2, 4, 8];
 
     /// Wavelength axis of the A1 ablation (the `ablations` binary).
-    pub const ABLATION_WAVELENGTHS: &'static [usize] = &[8, 16, 32, 48, 64];
+    const ABLATION_WAVELENGTHS: &'static [usize] = &[8, 16, 32, 48, 64];
     /// Gateway axis of the A2 ablation (the `ablations` binary).
-    pub const ABLATION_GATEWAYS: &'static [usize] = &[1, 2, 4, 6, 8];
+    const ABLATION_GATEWAYS: &'static [usize] = &[1, 2, 4, 6, 8];
 
     /// Builds axes from borrowed slices (the `const`-friendly form — the
     /// named grids below are all defined over `&'static [..]` tables).
@@ -292,9 +292,9 @@ pub struct DecodeAxes {
 
 impl DecodeAxes {
     /// Cache-depth axis of the `decode` example grid.
-    pub const EXAMPLE_CACHE_LENS: &'static [u32] = &[128, 512, 2048];
+    const EXAMPLE_CACHE_LENS: &'static [u32] = &[128, 512, 2048];
     /// Batch axis of the `decode` example grid.
-    pub const EXAMPLE_BATCHES: &'static [u32] = &[1];
+    const EXAMPLE_BATCHES: &'static [u32] = &[1];
 
     /// Builds axes from borrowed slices (the `const`-friendly form).
     pub fn from_slices(cache_lens: &[u32], batches: &[u32]) -> Self {

@@ -97,7 +97,6 @@ pub struct HbmStack {
     config: HbmConfig,
     channels: ServerPool,
     energy_j: f64,
-    bits: u64,
 }
 
 impl HbmStack {
@@ -112,13 +111,7 @@ impl HbmStack {
             channels: ServerPool::new(config.channels, config.channel_rate_gbps),
             config,
             energy_j: 0.0,
-            bits: 0,
         }
-    }
-
-    /// The stack configuration.
-    pub fn config(&self) -> &HbmConfig {
-        &self.config
     }
 
     /// Reads `bits` starting no earlier than `at`, striped across all
@@ -149,8 +142,8 @@ impl HbmStack {
         }
     }
 
-    /// Charges a burst of `bits` (its access energy and its bits)
-    /// without occupying a channel: the accounting half of
+    /// Charges a burst of `bits` its access energy without occupying a
+    /// channel: the accounting half of
     /// [`HbmStack::read`] and [`HbmStack::write`], which call it once
     /// per burst. A caller that already knows a burst's timing replays
     /// it with this alone; channel occupancy is left as it was. A
@@ -160,7 +153,6 @@ impl HbmStack {
             return;
         }
         self.energy_j += self.config.energy_pj_per_bit * 1e-12 * bits as f64;
-        self.bits += bits;
     }
 
     /// Dynamic energy spent so far, joules.
@@ -173,16 +165,10 @@ impl HbmStack {
         self.config.static_power_w
     }
 
-    /// Total bits transferred.
-    pub fn bits_transferred(&self) -> u64 {
-        self.bits
-    }
-
-    /// Resets queueing state and statistics.
+    /// Resets queueing state and the energy account.
     pub fn reset(&mut self) {
         self.channels.reset();
         self.energy_j = 0.0;
-        self.bits = 0;
     }
 }
 
@@ -228,7 +214,7 @@ mod tests {
         let mut h = HbmStack::new(HbmConfig::hbm2());
         let a = h.read(SimTime::from_ns(7), 0);
         assert_eq!(a.finish, SimTime::from_ns(7));
-        assert_eq!(h.bits_transferred(), 0);
+        assert_eq!(h.total_energy_j(), 0.0);
     }
 
     #[test]
@@ -242,7 +228,6 @@ mod tests {
         h.read(SimTime::ZERO, 1 << 20);
         h.reset();
         assert_eq!(h.total_energy_j(), 0.0);
-        assert_eq!(h.bits_transferred(), 0);
         let a = h.read(SimTime::ZERO, 2_048_000);
         assert_eq!(a.start, SimTime::from_ns(60));
     }

@@ -324,22 +324,6 @@ impl MetricsSnapshot {
     pub fn series_named(&self, name: &str) -> Option<&SeriesSnapshot> {
         self.series.iter().find(|s| s.name == name)
     }
-
-    /// All series whose [`base_name`](SeriesSnapshot::base_name)
-    /// matches `base` — i.e. every labelled variant of one metric
-    /// family (`serve_tokens_total{model="gpt2"}`, …), in name order.
-    pub fn series_with_base<'s>(
-        &'s self,
-        base: &'s str,
-    ) -> impl Iterator<Item = &'s SeriesSnapshot> {
-        self.series.iter().filter(move |s| s.base_name() == base)
-    }
-
-    /// Total pairwise merges across all series — nonzero whenever any
-    /// series hit its length bound and coarsened.
-    pub fn total_decimations(&self) -> u64 {
-        self.series.iter().map(|s| u64::from(s.decimations)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -409,22 +393,5 @@ mod tests {
         s.add(1, -3.0, 100, 16);
         s.add(2, f64::NAN, 100, 16);
         assert_eq!(s.total_sum, 5.0);
-    }
-
-    #[test]
-    fn series_with_base_collects_labelled_variants() {
-        let reg = crate::MetricsRegistry::windowed(100, 16);
-        let a = reg.counter("tokens{model=\"bert\"}");
-        let b = reg.counter("tokens{model=\"gpt2\"}");
-        let _other = reg.counter("requests");
-        reg.add(a, 0, 1.0);
-        reg.add(b, 0, 2.0);
-        let snap = reg.snapshot();
-        let names: Vec<&str> = snap
-            .series_with_base("tokens")
-            .map(|s| s.name.as_str())
-            .collect();
-        assert_eq!(names, ["tokens{model=\"bert\"}", "tokens{model=\"gpt2\"}"]);
-        assert_eq!(snap.series_with_base("absent").count(), 0);
     }
 }

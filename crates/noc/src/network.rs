@@ -8,7 +8,7 @@
 //! the hotspot behaviour that throttles the paper's 2.5D electrical
 //! baseline around the memory chiplet.
 
-use lumos_sim::{BandwidthServer, LatencyHistogram, SimTime};
+use lumos_sim::{BandwidthServer, SimTime};
 
 use crate::link::{LinkModel, RouterModel};
 use crate::routing::xy_hops;
@@ -49,9 +49,6 @@ pub struct MeshNetwork {
     /// [`link_slot`]; slots of links off the mesh edge stay unused.
     links: Vec<BandwidthServer>,
     energy_j: f64,
-    bits_moved: u64,
-    latencies: LatencyHistogram,
-    last_finish: SimTime,
 }
 
 impl MeshNetwork {
@@ -64,9 +61,6 @@ impl MeshNetwork {
             router_model,
             links,
             energy_j: 0.0,
-            bits_moved: 0,
-            latencies: LatencyHistogram::new(),
-            last_finish: SimTime::ZERO,
         }
     }
 
@@ -86,11 +80,6 @@ impl MeshNetwork {
         let mut link = LinkModel::paper_table1(hop_mm);
         link.frequency_ghz *= frequency_scale;
         MeshNetwork::new(Mesh::new(cols, rows), link, RouterModel::paper_table1())
-    }
-
-    /// The underlying mesh.
-    pub fn mesh(&self) -> Mesh {
-        self.mesh
     }
 
     /// Sends `bits` from `src` to `dst` starting no earlier than `at`.
@@ -127,7 +116,7 @@ impl MeshNetwork {
             finish: tail_finish,
             hops,
         };
-        self.account_transfer(at, &result, bits);
+        self.account_transfer(result.hops, bits);
         result
     }
 
@@ -197,56 +186,26 @@ impl MeshNetwork {
             finish,
             hops: hops as u32,
         };
-        self.account_transfer(at, &result, bits);
+        self.account_transfer(result.hops, bits);
         result
     }
 
-    /// Charges `transfer`, a transfer of `bits` issued at `at`, without
-    /// occupying a link: link and router energy once per hop, its
-    /// payload bits, its latency sample and the last-finish mark. The
-    /// accounting half of [`MeshNetwork::transfer`] and
-    /// [`MeshNetwork::transfer_packets`], which call it once per
-    /// transfer. A caller that already knows a transfer's timing
-    /// replays it with this alone; link occupancy is left as it was. A
-    /// transfer of zero hops (same node, or no bits) charges nothing.
-    pub fn account_transfer(&mut self, at: SimTime, transfer: &MeshTransfer, bits: u64) {
-        if transfer.hops == 0 {
+    /// Charges a transfer of `bits` over `hops` hops without occupying
+    /// a link: link and router energy once per hop. The accounting half
+    /// of [`MeshNetwork::transfer`] and [`MeshNetwork::transfer_packets`],
+    /// which call it once per transfer with the hops they routed. A
+    /// caller that already knows a transfer's route replays it with this
+    /// alone; link occupancy is left as it was. A transfer of zero hops
+    /// (same node, or no bits) charges nothing.
+    pub fn account_transfer(&mut self, hops: u32, bits: u64) {
+        if hops == 0 {
             return;
         }
         let hop_energy_j =
             self.link_model.energy_joules(bits) + self.router_model.energy_joules(bits);
-        for _ in 0..transfer.hops {
+        for _ in 0..hops {
             self.energy_j += hop_energy_j;
         }
-        self.bits_moved += bits;
-        self.latencies.record(transfer.finish.saturating_sub(at));
-        self.last_finish = self.last_finish.max(transfer.finish);
-    }
-
-    /// Broadcasts `bits` from `src` to every destination by replicated
-    /// unicast — a passive electrical interposer has no cheap multicast,
-    /// which is precisely the disadvantage the paper's SWMR photonic
-    /// protocol avoids. Returns the worst finish time.
-    pub fn broadcast(&mut self, at: SimTime, src: Coord, dsts: &[Coord], bits: u64) -> SimTime {
-        let mut worst = at;
-        for &d in dsts {
-            let t = self.transfer(at, src, d, bits);
-            worst = worst.max(t.finish);
-        }
-        worst
-    }
-
-    /// Uncontended latency estimate for a transfer (analytic fast path,
-    /// used by mappers that only need a cost heuristic).
-    pub fn estimate_uncontended(&self, src: Coord, dst: Coord, bits: u64) -> SimTime {
-        let hops = src.manhattan(dst) as u64;
-        if hops == 0 || bits == 0 {
-            return SimTime::ZERO;
-        }
-        let per_hop = self.router_model.hop_latency() + self.link_model.traversal_latency();
-        let serialization =
-            lumos_sim::time::serialization_time(bits, self.link_model.bandwidth_gbps());
-        per_hop * hops + serialization
     }
 
     /// Dynamic energy spent so far, joules.
@@ -259,30 +218,12 @@ impl MeshNetwork {
         self.router_model.leakage_mw * 1e-3 * self.mesh.node_count() as f64
     }
 
-    /// Total payload bits accepted (per-hop replication not counted).
-    pub fn bits_moved(&self) -> u64 {
-        self.bits_moved
-    }
-
-    /// Latency distribution of completed transfers.
-    pub fn latencies(&self) -> &LatencyHistogram {
-        &self.latencies
-    }
-
-    /// Finish time of the latest transfer seen so far.
-    pub fn last_finish(&self) -> SimTime {
-        self.last_finish
-    }
-
-    /// Resets all link state and statistics.
+    /// Resets all link state and the energy account.
     pub fn reset(&mut self) {
         for s in &mut self.links {
             s.reset();
         }
         self.energy_j = 0.0;
-        self.bits_moved = 0;
-        self.latencies = LatencyHistogram::new();
-        self.last_finish = SimTime::ZERO;
     }
 }
 
@@ -403,18 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_replicates() {
-        let mut n = net();
-        let dsts = [Coord::new(2, 0), Coord::new(2, 1), Coord::new(2, 2)];
-        let bits = 256_000;
-        let done = n.broadcast(SimTime::ZERO, Coord::new(0, 1), &dsts, bits);
-        assert_eq!(n.bits_moved(), 3 * bits);
-        // Replication through the shared first link serializes.
-        let single = n.estimate_uncontended(Coord::new(0, 1), Coord::new(2, 1), bits);
-        assert!(done > single);
-    }
-
-    #[test]
     fn packet_mode_is_much_slower_than_streaming() {
         let mut n = net();
         let bits = 1_000_000;
@@ -477,17 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_matches_uncontended_sim() {
-        let mut n = net();
-        let est = n.estimate_uncontended(Coord::new(0, 0), Coord::new(2, 1), 100_000);
-        let t = n.transfer(SimTime::ZERO, Coord::new(0, 0), Coord::new(2, 1), 100_000);
-        // The estimate pipelines serialization once; simulated transfer
-        // serializes per-link but overlaps, so they agree within a hop.
-        let diff = t.finish.saturating_sub(est).as_ps() as f64;
-        assert!(diff < 2.0 * 2_140.0 * 3.0, "estimate too far off: {diff}");
-    }
-
-    #[test]
     fn link_slots_are_distinct_and_in_range() {
         for (cols, rows) in [(1, 1), (3, 3), (4, 2), (1, 5), (6, 1)] {
             let mesh = Mesh::new(cols, rows);
@@ -516,7 +434,5 @@ mod tests {
         n.transfer(SimTime::ZERO, Coord::new(0, 0), Coord::new(2, 2), 5_000);
         n.reset();
         assert_eq!(n.total_energy_j(), 0.0);
-        assert_eq!(n.bits_moved(), 0);
-        assert_eq!(n.latencies().count(), 0);
     }
 }

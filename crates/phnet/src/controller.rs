@@ -25,13 +25,13 @@ pub enum ReconfigPolicy {
 
 /// The fewest wavelengths PROWAVES keeps lit per gateway, to keep its
 /// links alive however light the load.
-pub const PROWAVES_MIN_WAVELENGTHS: usize = 4;
+const PROWAVES_MIN_WAVELENGTHS: usize = 4;
 
 impl ReconfigPolicy {
     /// The fewest wavelengths per gateway the policy ever leaves active
-    /// on an interposer of `total`: [`PROWAVES_MIN_WAVELENGTHS`] (or
-    /// `total`, if fewer) under PROWAVES, `total` under every other
-    /// policy, which never scales wavelengths.
+    /// on an interposer of `total`: 4 (or `total`, if fewer) under
+    /// PROWAVES, `total` under every other policy, which never scales
+    /// wavelengths.
     ///
     /// ```
     /// use lumos_phnet::controller::ReconfigPolicy;
@@ -101,7 +101,6 @@ pub struct EpochController {
     wavelengths: usize,
     current: ActiveSet,
     pcmc: PcmCoupler,
-    total_cost: ReconfigCost,
     reconfigs: usize,
 }
 
@@ -134,7 +133,6 @@ impl EpochController {
                 wavelengths,
             },
             pcmc: PcmCoupler::typical(),
-            total_cost: ReconfigCost::default(),
             reconfigs: 0,
         }
     }
@@ -152,11 +150,6 @@ impl EpochController {
     /// Number of reconfigurations applied so far.
     pub fn reconfig_count(&self) -> usize {
         self.reconfigs
-    }
-
-    /// Accumulated reconfiguration cost.
-    pub fn total_cost(&self) -> ReconfigCost {
-        self.total_cost
     }
 
     /// Plans the next epoch from the observed per-chiplet demand (bits
@@ -261,9 +254,6 @@ impl EpochController {
             return ReconfigCost::default();
         }
         let cost = self.switch_cost(&self.current, &target);
-        self.total_cost.energy_j += cost.energy_j;
-        self.total_cost.latency_ns += cost.latency_ns;
-        self.total_cost.pcmc_writes += cost.pcmc_writes;
         self.reconfigs += 1;
         self.current = target;
         cost
@@ -353,7 +343,6 @@ mod tests {
         let mut c = EpochController::new(ReconfigPolicy::ResipiGateways, 2, 2, 2, 64);
         let _ = c.plan_epoch(&demand(&[0.0, 0.0]), 768.0);
         let _ = c.plan_epoch(&demand(&[2e12, 2e12]), 768.0);
-        assert!(c.total_cost().pcmc_writes > 0);
         assert_eq!(c.reconfig_count(), 2);
     }
 

@@ -370,11 +370,6 @@ impl PhotonicInterposer {
         self.eo_oe_accum += tx + rx_extra;
     }
 
-    /// Earliest time the memory broadcast lanes are free.
-    pub fn mem_tx_available(&self) -> SimTime {
-        self.mem_tx.available_at()
-    }
-
     /// Closes the books at `end` and returns the run report.
     pub fn finalize(&mut self, end: SimTime) -> PhnetReport {
         let idle_j = self.idle_power.integral_value_seconds(end);

@@ -10,9 +10,9 @@ use crate::units::Decibels;
 /// Fibre-to-chip coupling structure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CouplerKind {
-    /// Surface grating coupler: easy placement, higher loss, narrowband.
+    /// Surface grating coupler: easy placement, higher loss.
     Grating,
-    /// Edge coupler: lower loss, broadband, needs facet access.
+    /// Edge coupler: lower loss, needs facet access.
     Edge,
 }
 
@@ -22,15 +22,6 @@ impl CouplerKind {
         match self {
             CouplerKind::Grating => Decibels::new(1.5),
             CouplerKind::Edge => Decibels::new(0.8),
-        }
-    }
-
-    /// 1 dB optical bandwidth in nanometres (limits how many WDM channels
-    /// can share one coupler without extra loss at the band edges).
-    pub fn bandwidth_nm(self) -> f64 {
-        match self {
-            CouplerKind::Grating => 35.0,
-            CouplerKind::Edge => 100.0,
         }
     }
 }
@@ -53,7 +44,7 @@ pub struct SplitterTree {
 
 impl SplitterTree {
     /// Excess loss per binary splitting stage.
-    pub const EXCESS_PER_STAGE_DB: f64 = 0.2;
+    const EXCESS_PER_STAGE_DB: f64 = 0.2;
 
     /// Creates a 1×`outputs` splitter tree.
     ///
@@ -93,7 +84,6 @@ mod tests {
             CouplerKind::Edge.insertion_loss().value()
                 < CouplerKind::Grating.insertion_loss().value()
         );
-        assert!(CouplerKind::Edge.bandwidth_nm() > CouplerKind::Grating.bandwidth_nm());
     }
 
     #[test]

@@ -112,17 +112,6 @@ pub fn max_channels_for_sxr(
     best
 }
 
-/// Aggregate through-path loss a wavelength suffers passing `n_rings`
-/// off-resonance rings (e.g. the other filters of an MRG row).
-pub fn bypass_loss(n_rings: usize, per_ring_through: Decibels) -> Decibels {
-    per_ring_through * n_rings as f64
-}
-
-/// Convenience: through-loss of a typical ring bank.
-pub fn typical_bypass_loss(n_rings: usize) -> Decibels {
-    bypass_loss(n_rings, Decibels::new(0.01))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,11 +168,5 @@ mod tests {
         // design point must be physically sensible.
         let rep = filter_bank_crosstalk(&ChannelPlan::dense(64).unwrap(), 12_000);
         assert!(rep.sxr.value() > 15.0, "Table 1 infeasible: {:?}", rep);
-    }
-
-    #[test]
-    fn bypass_loss_linear() {
-        let l = typical_bypass_loss(63);
-        assert!((l.value() - 0.63).abs() < 1e-12);
     }
 }

@@ -35,7 +35,6 @@ pub enum LaserPlacement {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Laser {
-    placement: LaserPlacement,
     wavelength_count: usize,
     enabled: usize,
     output_per_wavelength: OpticalPower,
@@ -60,23 +59,12 @@ impl Laser {
             LaserPlacement::OnChip => (0.05, Decibels::ZERO),
         };
         Laser {
-            placement,
             wavelength_count,
             enabled: wavelength_count,
             output_per_wavelength: OpticalPower::from_dbm(0.0),
             wall_plug_efficiency: eff,
             coupling_loss: coupling,
         }
-    }
-
-    /// The bank's placement.
-    pub fn placement(&self) -> LaserPlacement {
-        self.placement
-    }
-
-    /// Total number of wavelengths in the bank.
-    pub fn wavelength_count(&self) -> usize {
-        self.wavelength_count
     }
 
     /// Number of currently enabled wavelengths.
@@ -96,35 +84,10 @@ impl Laser {
         self.output_per_wavelength = p;
     }
 
-    /// Emitted power per wavelength at the facet.
-    pub fn output_per_wavelength(&self) -> OpticalPower {
-        self.output_per_wavelength
-    }
-
-    /// Optical power per wavelength actually delivered on-chip (after
-    /// coupling loss for off-chip banks).
-    pub fn delivered_per_wavelength(&self) -> OpticalPower {
-        self.output_per_wavelength.attenuate(self.coupling_loss)
-    }
-
-    /// Total optical power delivered on-chip across enabled wavelengths.
-    pub fn delivered_total(&self) -> OpticalPower {
-        self.delivered_per_wavelength() * self.enabled as f64
-    }
-
     /// Electrical power drawn by the bank in watts
     /// (`optical / wall-plug efficiency`, enabled wavelengths only).
     pub fn electrical_power_w(&self) -> f64 {
         self.output_per_wavelength.as_watts() * self.enabled as f64 / self.wall_plug_efficiency
-    }
-
-    /// Sizes the per-wavelength facet power so that `required` reaches the
-    /// chip after coupling loss, then returns the resulting electrical
-    /// power in watts. Used by the link-budget solver.
-    pub fn solve_for_delivered(&mut self, required: OpticalPower) -> f64 {
-        let facet = OpticalPower::from_mw(required.as_mw() / self.coupling_loss.to_linear());
-        self.output_per_wavelength = facet;
-        self.electrical_power_w()
     }
 }
 
@@ -134,11 +97,10 @@ mod tests {
 
     #[test]
     fn off_chip_pays_coupling_loss() {
-        let mut l = Laser::new(LaserPlacement::OffChip, 4);
-        l.set_output_per_wavelength(OpticalPower::from_dbm(0.0));
-        assert!((l.delivered_per_wavelength().as_dbm() + 1.5).abs() < 1e-9);
+        let l = Laser::new(LaserPlacement::OffChip, 4);
+        assert_eq!(l.coupling_loss, Decibels::new(1.5));
         let on_chip = Laser::new(LaserPlacement::OnChip, 4);
-        assert!((on_chip.delivered_per_wavelength().as_dbm() - 0.0).abs() < 1e-9);
+        assert_eq!(on_chip.coupling_loss, Decibels::ZERO);
     }
 
     #[test]
@@ -160,23 +122,6 @@ mod tests {
         off.set_output_per_wavelength(OpticalPower::from_mw(1.0));
         on.set_output_per_wavelength(OpticalPower::from_mw(1.0));
         assert!(on.electrical_power_w() > off.electrical_power_w());
-    }
-
-    #[test]
-    fn solve_for_delivered_closes_the_loop() {
-        let mut l = Laser::new(LaserPlacement::OffChip, 8);
-        let target = OpticalPower::from_dbm(5.0);
-        let watts = l.solve_for_delivered(target);
-        assert!((l.delivered_per_wavelength().as_dbm() - 5.0).abs() < 1e-9);
-        assert!(watts > 0.0);
-    }
-
-    #[test]
-    fn delivered_total_counts_enabled_only() {
-        let mut l = Laser::new(LaserPlacement::OnChip, 10);
-        l.set_output_per_wavelength(OpticalPower::from_mw(2.0));
-        l.enable_only(3);
-        assert!((l.delivered_total().as_mw() - 6.0).abs() < 1e-9);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //!
 //! * [`units`] — typed dB / dBm / wavelength / energy-per-bit arithmetic
 //! * [`waveguide`] — SOI waveguide propagation, bend, and crossing loss
-//! * [`mrr`] — microring resonators: Lorentzian filters, FSR, EO/TO tuning
-//! * [`pcmc`] — phase-change-material couplers (ReSiPI's splitter)
-//! * [`photodetector`] — sensitivity, photocurrent, WDM accumulation
+//! * [`mrr`] — microring resonators: Lorentzian filters and FSR
+//! * [`pcmc`] — phase-change-material couplers (ReSiPI's splitter): the
+//!   write energy and latency of a state change
+//! * [`photodetector`] — receiver sensitivity, bandwidth and energy
 //! * [`laser`] — on/off-chip laser banks with per-wavelength enables
 //! * [`modulator`] — MR modulators, OOK and PAM-4 formats
 //! * [`coupler`] — grating/edge couplers and passive splitter trees
@@ -65,8 +66,8 @@ pub mod prelude {
     pub use crate::laser::{Laser, LaserPlacement};
     pub use crate::link::{max_feasible_wavelengths, solve_link, LinkBudget, LinkDesign};
     pub use crate::modulator::{ModulationFormat, Modulator};
-    pub use crate::mrr::{Microring, TuningCircuit, TuningMechanism};
-    pub use crate::pcmc::{equal_split_taps, PcmCoupler, PcmState};
+    pub use crate::mrr::Microring;
+    pub use crate::pcmc::PcmCoupler;
     pub use crate::photodetector::Photodetector;
     pub use crate::units::{Decibels, EnergyPerBit, OpticalPower, Wavelength};
     pub use crate::waveguide::Waveguide;

@@ -29,20 +29,11 @@ impl ModulationFormat {
     ///
     /// PAM-4 squeezes three eye openings into the amplitude range of one,
     /// costing `10·log10(3) ≈ 4.77 dB`.
-    pub fn snr_penalty(self) -> Decibels {
+    fn snr_penalty(self) -> Decibels {
         match self {
             ModulationFormat::Ook => Decibels::ZERO,
             ModulationFormat::Pam4 => Decibels::new(10.0 * 3f64.log10()),
         }
-    }
-
-    /// Effective data rate in Gb/s at the given symbol rate.
-    pub fn data_rate_gbps(self, symbol_rate_gbaud: f64) -> f64 {
-        assert!(
-            symbol_rate_gbaud.is_finite() && symbol_rate_gbaud > 0.0,
-            "symbol rate must be positive"
-        );
-        symbol_rate_gbaud * self.bits_per_symbol() as f64
     }
 }
 
@@ -54,9 +45,8 @@ impl ModulationFormat {
 /// use lumos_photonics::modulator::{Modulator, ModulationFormat};
 ///
 /// let m = Modulator::typical(ModulationFormat::Ook);
-/// assert_eq!(m.data_rate_gbps(12.0), 12.0);
 /// let p4 = Modulator::typical(ModulationFormat::Pam4);
-/// assert_eq!(p4.data_rate_gbps(12.0), 24.0);
+/// assert_eq!(p4.format.bits_per_symbol(), 2);
 /// assert!(p4.required_margin().value() > m.required_margin().value());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,37 +57,20 @@ pub struct Modulator {
     pub insertion_loss: Decibels,
     /// Driver + device energy per bit.
     pub energy: EnergyPerBit,
-    /// Maximum symbol rate, GBaud.
-    pub max_symbol_rate_gbaud: f64,
     /// Extinction ratio of the modulated eye.
     pub extinction_ratio: Decibels,
 }
 
 impl Modulator {
     /// Typical depletion-mode MR modulator: 0.7 dB IL, 150 fJ/bit,
-    /// 25 GBaud, 6 dB ER.
+    /// 6 dB ER.
     pub fn typical(format: ModulationFormat) -> Self {
         Modulator {
             format,
             insertion_loss: Decibels::new(0.7),
             energy: EnergyPerBit::from_fj(150.0),
-            max_symbol_rate_gbaud: 25.0,
             extinction_ratio: Decibels::new(6.0),
         }
-    }
-
-    /// Effective data rate at `symbol_rate_gbaud`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the symbol rate exceeds `max_symbol_rate_gbaud`.
-    pub fn data_rate_gbps(&self, symbol_rate_gbaud: f64) -> f64 {
-        assert!(
-            symbol_rate_gbaud <= self.max_symbol_rate_gbaud,
-            "symbol rate {symbol_rate_gbaud} exceeds device maximum {}",
-            self.max_symbol_rate_gbaud
-        );
-        self.format.data_rate_gbps(symbol_rate_gbaud)
     }
 
     /// Extra receiver margin this format requires beyond the PD
@@ -129,10 +102,9 @@ mod tests {
     }
 
     #[test]
-    fn pam4_doubles_rate_with_penalty() {
+    fn pam4_costs_snr_margin() {
         let ook = Modulator::typical(ModulationFormat::Ook);
         let pam = Modulator::typical(ModulationFormat::Pam4);
-        assert_eq!(pam.data_rate_gbps(10.0), 2.0 * ook.data_rate_gbps(10.0));
         let delta = pam.required_margin().value() - ook.required_margin().value();
         assert!((delta - 4.771).abs() < 1e-2, "penalty {delta}");
     }
@@ -155,12 +127,5 @@ mod tests {
         assert!((p24 - 2.0 * p12).abs() < 1e-15);
         // 150 fJ/bit at 12 Gb/s = 1.8 mW
         assert!((p12 - 1.8e-3).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds device maximum")]
-    fn symbol_rate_capped() {
-        let m = Modulator::typical(ModulationFormat::Ook);
-        let _ = m.data_rate_gbps(30.0);
     }
 }

@@ -5,8 +5,8 @@
 //! photodetector, as *modulators* they imprint data onto a wavelength, and
 //! in MAC units consecutive amplitude modulation by MRs performs the
 //! multiply of broadcast-and-weight. This module models their spectral
-//! response (Lorentzian), free spectral range, and electro-optic /
-//! thermo-optic tuning power.
+//! response (Lorentzian) and free spectral range; the filter-bank
+//! crosstalk analysis ([`crate::crosstalk`]) reads the drop port.
 
 use crate::units::{Decibels, Wavelength};
 
@@ -21,8 +21,8 @@ use crate::units::{Decibels, Wavelength};
 /// let mr = Microring::new(Wavelength::from_nm(1550.0), 8_000, 5.0);
 /// // On resonance nearly everything drops…
 /// assert!(mr.drop_transmission(Wavelength::from_nm(1550.0)) > 0.8);
-/// // …one FWHM away, a quarter of the peak drops.
-/// let off = Wavelength::from_nm(1550.0 + mr.fwhm_nm());
+/// // …one FWHM (λ / Q ≈ 0.19 nm) away, a quarter of the peak drops.
+/// let off = Wavelength::from_nm(1550.0 + 1550.0 / 8_000.0);
 /// assert!(mr.drop_transmission(off) < 0.25);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,29 +71,6 @@ impl Microring {
         }
     }
 
-    /// Overrides the drop-port insertion loss.
-    pub fn with_drop_loss(mut self, loss: Decibels) -> Self {
-        self.drop_peak = loss.to_linear();
-        self
-    }
-
-    /// Overrides the per-ring through (bypass) loss.
-    pub fn with_through_loss(mut self, loss: Decibels) -> Self {
-        self.through_peak = loss.to_linear();
-        self
-    }
-
-    /// Overrides the through-port extinction ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `er` is not strictly positive.
-    pub fn with_extinction_ratio(mut self, er: Decibels) -> Self {
-        assert!(er.value() > 0.0, "extinction ratio must be positive");
-        self.extinction_depth = 1.0 - er.to_linear();
-        self
-    }
-
     /// The resonant wavelength.
     pub fn resonance(&self) -> Wavelength {
         self.resonance
@@ -106,7 +83,7 @@ impl Microring {
 
     /// Full width at half maximum of the resonance, in nanometres
     /// (`λ / Q`).
-    pub fn fwhm_nm(&self) -> f64 {
+    fn fwhm_nm(&self) -> f64 {
         self.resonance.as_nm() / self.q_factor
     }
 
@@ -147,119 +124,6 @@ impl Microring {
         let on = self.through_transmission(self.resonance);
         let off = self.through_peak;
         Decibels::from_linear(on / off)
-    }
-
-    /// Returns a copy re-tuned so its resonance sits at `target`.
-    pub fn tuned_to(mut self, target: Wavelength) -> Self {
-        self.resonance = target;
-        self
-    }
-}
-
-/// How an MR's resonance is shifted at runtime (paper §II): fast, low-range
-/// electro-optic tuning for data, slow but wide thermo-optic tuning for
-/// locking against fabrication and thermal drift.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TuningMechanism {
-    /// Carrier-based electro-optic tuning: sub-ns, µW-scale, small range.
-    ElectroOptic,
-    /// Heater-based thermo-optic tuning: µs-scale, mW-scale, wide range.
-    ThermoOptic,
-}
-
-/// Tuning-power model for a bank of microrings.
-///
-/// Follows the convention of the CrossLight-family papers: each ring pays
-/// (a) a static *locking* power proportional to the expected fabrication
-/// variation it must compensate, plus (b) a dynamic component when a new
-/// value is imprinted.
-///
-/// # Examples
-///
-/// ```
-/// use lumos_photonics::mrr::{TuningCircuit, TuningMechanism};
-///
-/// let tc = TuningCircuit::typical();
-/// let p = tc.shift_power_mw(TuningMechanism::ThermoOptic, 0.5);
-/// assert!(p > 0.0);
-/// // EO tuning is far cheaper per nm but range-limited.
-/// assert!(tc.shift_power_mw(TuningMechanism::ElectroOptic, 0.05) < p);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TuningCircuit {
-    /// Thermo-optic efficiency: nm of shift per mW of heater power.
-    pub to_nm_per_mw: f64,
-    /// Electro-optic efficiency: nm of shift per mW of injected power.
-    pub eo_nm_per_mw: f64,
-    /// Maximum usable EO shift before free-carrier loss dominates, nm.
-    pub eo_max_shift_nm: f64,
-    /// EO response time in picoseconds (sets modulation bandwidth).
-    pub eo_response_ps: f64,
-    /// TO response time in picoseconds.
-    pub to_response_ps: f64,
-}
-
-impl TuningCircuit {
-    /// Typical values from the silicon-photonic accelerator literature.
-    pub fn typical() -> Self {
-        TuningCircuit {
-            to_nm_per_mw: 0.25,
-            eo_nm_per_mw: 2.0,
-            eo_max_shift_nm: 0.8,
-            eo_response_ps: 100.0,
-            to_response_ps: 4_000_000.0, // ~4 µs
-        }
-    }
-
-    /// Power in mW to hold a resonance shift of `shift_nm`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shift is negative, not finite, or exceeds the EO
-    /// range when EO tuning is selected.
-    pub fn shift_power_mw(&self, mechanism: TuningMechanism, shift_nm: f64) -> f64 {
-        assert!(
-            shift_nm.is_finite() && shift_nm >= 0.0,
-            "shift must be non-negative, got {shift_nm}"
-        );
-        match mechanism {
-            TuningMechanism::ElectroOptic => {
-                assert!(
-                    shift_nm <= self.eo_max_shift_nm,
-                    "EO tuning range exceeded: {shift_nm} nm > {} nm",
-                    self.eo_max_shift_nm
-                );
-                shift_nm / self.eo_nm_per_mw
-            }
-            TuningMechanism::ThermoOptic => shift_nm / self.to_nm_per_mw,
-        }
-    }
-
-    /// Expected per-ring locking power (mW) to compensate a fabrication
-    /// variation with standard deviation `sigma_nm`, assuming the mean
-    /// absolute shift of a half-normal distribution (`σ·√(2/π)`) is
-    /// corrected thermally.
-    pub fn expected_lock_power_mw(&self, sigma_nm: f64) -> f64 {
-        assert!(
-            sigma_nm.is_finite() && sigma_nm >= 0.0,
-            "sigma must be non-negative"
-        );
-        let mean_abs = sigma_nm * (2.0 / std::f64::consts::PI).sqrt();
-        self.shift_power_mw(TuningMechanism::ThermoOptic, mean_abs)
-    }
-
-    /// Response latency of the selected mechanism in picoseconds.
-    pub fn response_ps(&self, mechanism: TuningMechanism) -> f64 {
-        match mechanism {
-            TuningMechanism::ElectroOptic => self.eo_response_ps,
-            TuningMechanism::ThermoOptic => self.to_response_ps,
-        }
-    }
-}
-
-impl Default for TuningCircuit {
-    fn default() -> Self {
-        TuningCircuit::typical()
     }
 }
 
@@ -316,44 +180,6 @@ mod tests {
     fn extinction_ratio_positive() {
         let er = ring().extinction_ratio();
         assert!(er.value() > 10.0, "ER too small: {er}");
-    }
-
-    #[test]
-    fn tuned_to_moves_resonance() {
-        let mr = ring().tuned_to(Wavelength::from_nm(1552.4));
-        assert!((mr.resonance().as_nm() - 1552.4).abs() < 1e-12);
-        assert!(mr.drop_transmission(Wavelength::from_nm(1552.4)) > 0.8);
-    }
-
-    #[test]
-    fn tuning_power_linear_in_shift() {
-        let tc = TuningCircuit::typical();
-        let p1 = tc.shift_power_mw(TuningMechanism::ThermoOptic, 0.2);
-        let p2 = tc.shift_power_mw(TuningMechanism::ThermoOptic, 0.4);
-        assert!((p2 - 2.0 * p1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eo_faster_than_to() {
-        let tc = TuningCircuit::typical();
-        assert!(
-            tc.response_ps(TuningMechanism::ElectroOptic)
-                < tc.response_ps(TuningMechanism::ThermoOptic)
-        );
-    }
-
-    #[test]
-    fn lock_power_grows_with_variation() {
-        let tc = TuningCircuit::typical();
-        assert_eq!(tc.expected_lock_power_mw(0.0), 0.0);
-        assert!(tc.expected_lock_power_mw(0.4) > tc.expected_lock_power_mw(0.1));
-    }
-
-    #[test]
-    #[should_panic(expected = "EO tuning range exceeded")]
-    fn eo_range_enforced() {
-        let tc = TuningCircuit::typical();
-        let _ = tc.shift_power_mw(TuningMechanism::ElectroOptic, 5.0);
     }
 
     #[test]

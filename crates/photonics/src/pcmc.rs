@@ -2,92 +2,35 @@
 //!
 //! ReSiPI replaces passive splitters with PCM-based directional couplers so
 //! the interposer can *re-route laser power* to exactly the set of active
-//! writer gateways. The coupler has three operating regimes set by the
-//! crystallinity of the PCM cell:
-//!
-//! * **crystalline** — input light continues to the Bar (B) port,
-//! * **partially crystalline** — light splits between Cross (C) and Bar,
-//! * **amorphous** — light exits at the Cross port.
+//! writer gateways. The crystallinity of the PCM cell steers the input
+//! light to the Bar port (crystalline), the Cross port (amorphous), or
+//! splits it between them (partially crystalline).
 //!
 //! PCM states are *nonvolatile*: holding a state costs zero power (the
 //! ReSiPI energy advantage), but switching states requires a heat pulse
 //! with microsecond-scale latency — which is why reconfiguration happens
-//! at epoch granularity, not per transfer.
+//! at epoch granularity, not per transfer. Those switching costs are
+//! what the simulation reads: the ReSiPI controller charges each coupler
+//! toggle one write energy and stalls one write latency.
 
-use crate::units::Decibels;
-
-/// Operating state of a PCM coupler.
-///
-/// `Partial(x)` carries the crystallinity fraction `x ∈ (0, 1)`; `x → 1`
-/// behaves like crystalline (all Bar), `x → 0` like amorphous (all Cross).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PcmState {
-    /// Fully crystalline: guide light to the Bar output.
-    Crystalline,
-    /// Partially crystalline: split light between Cross and Bar.
-    Partial(f64),
-    /// Fully amorphous: guide light to the Cross output.
-    Amorphous,
-}
-
-impl PcmState {
-    /// Crystallinity fraction in `[0, 1]`.
-    pub fn crystallinity(self) -> f64 {
-        match self {
-            PcmState::Crystalline => 1.0,
-            PcmState::Partial(x) => x,
-            PcmState::Amorphous => 0.0,
-        }
-    }
-
-    /// Builds a state from a crystallinity fraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is outside `[0, 1]`.
-    pub fn from_crystallinity(x: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&x),
-            "crystallinity must be in [0,1], got {x}"
-        );
-        if x == 0.0 {
-            PcmState::Amorphous
-        } else if x == 1.0 {
-            PcmState::Crystalline
-        } else {
-            PcmState::Partial(x)
-        }
-    }
-}
-
-/// A PCM-based 1×2 power coupler.
+/// The switching costs of a PCM-based 1×2 power coupler.
 ///
 /// # Examples
 ///
 /// ```
-/// use lumos_photonics::pcmc::{PcmCoupler, PcmState};
+/// use lumos_photonics::pcmc::PcmCoupler;
 ///
-/// let mut c = PcmCoupler::typical();
-/// c.set_state(PcmState::Amorphous);
-/// assert!(c.cross_fraction() > 0.9);
-/// c.set_state(PcmState::from_crystallinity(0.5));
-/// let (cross, bar) = (c.cross_fraction(), c.bar_fraction());
-/// assert!(cross > 0.0 && bar > 0.0);
-/// assert!(cross + bar <= 1.0); // excess loss
+/// let c = PcmCoupler::typical();
+/// // Toggling four couplers costs 80 nJ and one ~1 µs stall.
+/// assert_eq!(4.0 * c.write_energy_nj, 80.0);
+/// assert_eq!(c.write_latency_ns, 1000.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PcmCoupler {
-    state: PcmState,
-    /// Excess insertion loss of the coupler.
-    pub insertion_loss: Decibels,
     /// Energy of one SET/RESET transition, in nanojoules.
     pub write_energy_nj: f64,
     /// Latency of one state transition, in nanoseconds.
     pub write_latency_ns: f64,
-    /// Coupling length in the amorphous state, µm (Fig. 2 `L_c^am`).
-    pub coupling_len_amorphous_um: f64,
-    /// Coupling length in the crystalline state, µm (Fig. 2 `L_c^cr`).
-    pub coupling_len_crystalline_um: f64,
 }
 
 impl PcmCoupler {
@@ -95,221 +38,8 @@ impl PcmCoupler {
     /// surveyed by Teo et al. (cited as \[38\] in the paper).
     pub fn typical() -> Self {
         PcmCoupler {
-            state: PcmState::Crystalline,
-            insertion_loss: Decibels::new(0.3),
             write_energy_nj: 20.0,
             write_latency_ns: 1000.0,
-            coupling_len_amorphous_um: 36.0,
-            coupling_len_crystalline_um: 14.0,
         }
-    }
-
-    /// Current PCM state.
-    pub fn state(&self) -> PcmState {
-        self.state
-    }
-
-    /// Changes the PCM state, returning the `(energy_nj, latency_ns)` cost
-    /// of the transition; returns `(0, 0)` when the state is unchanged
-    /// (holding is free — the states are nonvolatile).
-    pub fn set_state(&mut self, state: PcmState) -> (f64, f64) {
-        if self.state == state {
-            return (0.0, 0.0);
-        }
-        self.state = state;
-        (self.write_energy_nj, self.write_latency_ns)
-    }
-
-    /// Fraction of input power delivered to the **Cross** port (the tap
-    /// toward a writer gateway), after insertion loss.
-    ///
-    /// In the physical device (Teo et al., \[38\] in the paper) the
-    /// amorphous state phase-matches the coupler (full transfer over
-    /// `L_c^am`) while crystallization detunes and absorbs the coupled
-    /// mode. A pure `sin²(κL)` law cannot express the crystalline
-    /// *extinction*, so we use the standard phenomenological interpolation
-    /// `cross(x) = sin²(π/2 · (1-x)^α)` with the exponent `α` fitted from
-    /// the ratio of coupling lengths: it is exactly 1 when amorphous,
-    /// exactly 0 when crystalline, and strictly monotone in between.
-    pub fn cross_fraction(&self) -> f64 {
-        let x = self.state.crystallinity();
-        let alpha = (self.coupling_len_amorphous_um / self.coupling_len_crystalline_um)
-            .ln()
-            .max(0.2);
-        let coupled = (std::f64::consts::FRAC_PI_2 * (1.0 - x).powf(alpha))
-            .sin()
-            .powi(2);
-        coupled.clamp(0.0, 1.0) * self.insertion_loss.to_linear()
-    }
-
-    /// Fraction of input power delivered to the **Bar** port (continuing
-    /// down the splitter chain), after insertion loss.
-    pub fn bar_fraction(&self) -> f64 {
-        let il = self.insertion_loss.to_linear();
-        (il - self.cross_fraction()).max(0.0)
-    }
-
-    /// Finds the PCM state whose cross fraction best approximates
-    /// `target` (∈ [0, 1]) by bisection on crystallinity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is outside `[0, 1]`.
-    pub fn state_for_cross_fraction(&self, target: f64) -> PcmState {
-        assert!(
-            (0.0..=1.0).contains(&target),
-            "target fraction must be in [0,1], got {target}"
-        );
-        let eval = |x: f64| {
-            let mut probe = *self;
-            probe.state = PcmState::from_crystallinity(x);
-            probe.cross_fraction()
-        };
-        // cross_fraction is monotone decreasing in crystallinity.
-        let (mut lo, mut hi) = (0.0f64, 1.0f64);
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            if eval(mid) > target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        PcmState::from_crystallinity(0.5 * (lo + hi))
-    }
-}
-
-impl Default for PcmCoupler {
-    fn default() -> Self {
-        PcmCoupler::typical()
-    }
-}
-
-/// Computes the per-coupler tap fractions that split one laser feed
-/// equally among the first `active` of `total` gateways on a chain.
-///
-/// Coupler `i` (0-based) taps `1/(active - i)` of the power still on the
-/// chain; couplers past the active set go fully crystalline (tap nothing).
-///
-/// # Panics
-///
-/// Panics if `active == 0` or `active > total`.
-///
-/// # Examples
-///
-/// ```
-/// use lumos_photonics::pcmc::equal_split_taps;
-///
-/// let taps = equal_split_taps(3, 5);
-/// assert_eq!(taps.len(), 5);
-/// assert!((taps[0] - 1.0 / 3.0).abs() < 1e-12);
-/// assert!((taps[1] - 0.5).abs() < 1e-12);
-/// assert!((taps[2] - 1.0).abs() < 1e-12);
-/// assert_eq!(taps[3], 0.0);
-/// ```
-pub fn equal_split_taps(active: usize, total: usize) -> Vec<f64> {
-    assert!(active > 0, "need at least one active gateway");
-    assert!(active <= total, "active ({active}) exceeds total ({total})");
-    (0..total)
-        .map(|i| {
-            if i < active {
-                1.0 / (active - i) as f64
-            } else {
-                0.0
-            }
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn extreme_states_route_cleanly() {
-        let mut c = PcmCoupler::typical();
-        c.set_state(PcmState::Amorphous);
-        assert!(c.cross_fraction() > 0.9, "got {}", c.cross_fraction());
-        assert!(c.bar_fraction() < 0.05);
-        c.set_state(PcmState::Crystalline);
-        assert!(c.cross_fraction() < 1e-6);
-        assert!(c.bar_fraction() > 0.9);
-    }
-
-    #[test]
-    fn power_conserved_up_to_insertion_loss() {
-        let mut c = PcmCoupler::typical();
-        for x in [0.0, 0.2, 0.5, 0.8, 1.0] {
-            c.set_state(PcmState::from_crystallinity(x));
-            let total = c.cross_fraction() + c.bar_fraction();
-            assert!(total <= 1.0 + 1e-12, "gain at x={x}");
-            assert!(
-                (total - c.insertion_loss.to_linear()).abs() < 1e-9,
-                "loss mismatch at x={x}"
-            );
-        }
-    }
-
-    #[test]
-    fn cross_fraction_monotone_in_crystallinity() {
-        let mut c = PcmCoupler::typical();
-        let mut last = f64::INFINITY;
-        for i in 0..=20 {
-            let x = i as f64 / 20.0;
-            c.set_state(PcmState::from_crystallinity(x));
-            let f = c.cross_fraction();
-            assert!(f <= last + 1e-12, "not monotone at x={x}");
-            last = f;
-        }
-    }
-
-    #[test]
-    fn holding_state_is_free() {
-        let mut c = PcmCoupler::typical();
-        let (e0, t0) = c.set_state(PcmState::Crystalline); // already there
-        assert_eq!((e0, t0), (0.0, 0.0));
-        let (e1, t1) = c.set_state(PcmState::Amorphous);
-        assert!(e1 > 0.0 && t1 > 0.0);
-    }
-
-    #[test]
-    fn inverse_solver_hits_target() {
-        let c = PcmCoupler::typical();
-        for target in [0.1, 0.25, 0.5, 0.75] {
-            let s = c.state_for_cross_fraction(target);
-            let mut probe = c;
-            probe.set_state(s);
-            assert!(
-                (probe.cross_fraction() - target).abs() < 1e-3,
-                "target {target} got {}",
-                probe.cross_fraction()
-            );
-        }
-    }
-
-    #[test]
-    fn equal_split_delivers_equal_power() {
-        // Chain of ideal couplers (no insertion loss) should give each
-        // active gateway exactly 1/k of the feed.
-        let k = 4;
-        let taps = equal_split_taps(k, 6);
-        let mut remaining = 1.0;
-        let mut delivered = Vec::new();
-        for &t in &taps {
-            delivered.push(remaining * t);
-            remaining *= 1.0 - t;
-        }
-        for d in &delivered[..k] {
-            assert!((d - 0.25).abs() < 1e-12);
-        }
-        for d in &delivered[k..] {
-            assert_eq!(*d, 0.0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one active")]
-    fn zero_active_rejected() {
-        let _ = equal_split_taps(0, 4);
     }
 }

@@ -1,10 +1,9 @@
 //! Photodetector (PD) model.
 //!
-//! PDs convert optical signals back to electrical ones (paper §II). Two
-//! roles matter here: the *receiver* PD at a reader gateway (sensitivity
-//! sets the link budget) and the *accumulator* PD of a photonic MAC unit,
-//! which sums the photocurrents of all wavelengths landing on it — the
-//! "accumulate" of multiply-and-accumulate.
+//! PDs convert optical signals back to electrical ones (paper §II). The
+//! role modelled here is the *receiver* PD at a reader gateway: its
+//! sensitivity and bandwidth bound the link budget, and its receiver
+//! energy is charged per bit.
 
 use crate::units::{EnergyPerBit, OpticalPower};
 
@@ -19,18 +18,14 @@ use crate::units::{EnergyPerBit, OpticalPower};
 ///
 /// ```
 /// use lumos_photonics::photodetector::Photodetector;
-/// use lumos_photonics::units::OpticalPower;
 ///
 /// let pd = Photodetector::typical();
 /// let s10 = pd.sensitivity(10.0);
 /// let s40 = pd.sensitivity(40.0);
 /// assert!(s40.as_dbm() > s10.as_dbm()); // faster needs more power
-/// assert!(pd.detects(OpticalPower::from_dbm(-10.0), 12.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Photodetector {
-    /// Responsivity in A/W.
-    pub responsivity_a_per_w: f64,
     /// Sensitivity at the reference data rate, dBm.
     pub base_sensitivity_dbm: f64,
     /// Reference data rate for the base sensitivity, Gb/s.
@@ -42,11 +37,10 @@ pub struct Photodetector {
 }
 
 impl Photodetector {
-    /// A typical germanium-on-silicon PD: 1.1 A/W, −20 dBm @ 10 Gb/s,
-    /// 180 fJ/bit receiver, 40 GHz bandwidth.
+    /// A typical germanium-on-silicon PD: −20 dBm @ 10 Gb/s, 180 fJ/bit
+    /// receiver, 40 GHz bandwidth.
     pub fn typical() -> Self {
         Photodetector {
-            responsivity_a_per_w: 1.1,
             base_sensitivity_dbm: -20.0,
             reference_rate_gbps: 10.0,
             receiver_energy: EnergyPerBit::from_fj(180.0),
@@ -66,25 +60,6 @@ impl Photodetector {
         );
         let penalty_db = 3.0 * (rate_gbps / self.reference_rate_gbps).log2().max(0.0);
         OpticalPower::from_dbm(self.base_sensitivity_dbm + penalty_db)
-    }
-
-    /// Whether `received` suffices to detect a stream at `rate_gbps`.
-    pub fn detects(&self, received: OpticalPower, rate_gbps: f64) -> bool {
-        rate_gbps <= self.bandwidth_ghz && received.meets(self.sensitivity(rate_gbps))
-    }
-
-    /// Photocurrent in milliamps for a given received power.
-    pub fn photocurrent_ma(&self, received: OpticalPower) -> f64 {
-        self.responsivity_a_per_w * received.as_mw()
-    }
-
-    /// Summed photocurrent (mA) across WDM channels landing on this PD —
-    /// the optical *accumulation* operation of a photonic MAC unit.
-    pub fn accumulate_ma<I>(&self, channels: I) -> f64
-    where
-        I: IntoIterator<Item = OpticalPower>,
-    {
-        channels.into_iter().map(|p| self.photocurrent_ma(p)).sum()
     }
 }
 
@@ -106,46 +81,5 @@ mod tests {
         assert!((double - base - 3.0).abs() < 1e-9);
         // No bonus below the reference rate.
         assert!((pd.sensitivity(5.0).as_dbm() - base).abs() < 1e-9);
-    }
-
-    #[test]
-    fn detection_threshold() {
-        let pd = Photodetector::typical();
-        assert!(pd.detects(OpticalPower::from_dbm(-19.9), 10.0));
-        assert!(!pd.detects(OpticalPower::from_dbm(-20.1), 10.0));
-    }
-
-    #[test]
-    fn bandwidth_limits_rate() {
-        let pd = Photodetector::typical();
-        // Plenty of power but beyond the PD bandwidth.
-        assert!(!pd.detects(OpticalPower::from_dbm(10.0), 50.0));
-    }
-
-    #[test]
-    fn photocurrent_linear() {
-        let pd = Photodetector::typical();
-        let i1 = pd.photocurrent_ma(OpticalPower::from_mw(1.0));
-        let i2 = pd.photocurrent_ma(OpticalPower::from_mw(2.0));
-        assert!((i2 - 2.0 * i1).abs() < 1e-12);
-        assert!((i1 - 1.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulation_sums_channels() {
-        let pd = Photodetector::typical();
-        let chans = vec![
-            OpticalPower::from_mw(0.1),
-            OpticalPower::from_mw(0.2),
-            OpticalPower::from_mw(0.3),
-        ];
-        let total = pd.accumulate_ma(chans);
-        assert!((total - 1.1 * 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_channels_zero_current() {
-        let pd = Photodetector::typical();
-        assert_eq!(pd.accumulate_ma(std::iter::empty()), 0.0);
     }
 }

@@ -136,9 +136,6 @@ impl fmt::Display for Decibels {
 pub struct OpticalPower(f64);
 
 impl OpticalPower {
-    /// Zero optical power.
-    pub const ZERO: OpticalPower = OpticalPower(0.0);
-
     /// Creates a power from milliwatts.
     ///
     /// # Panics
@@ -181,45 +178,6 @@ impl OpticalPower {
     pub fn attenuate(self, loss: Decibels) -> OpticalPower {
         OpticalPower(self.0 * loss.to_linear())
     }
-
-    /// Splits the power by a linear ratio in `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ratio` is outside `[0, 1]`.
-    pub fn scale(self, ratio: f64) -> OpticalPower {
-        assert!(
-            (0.0..=1.0).contains(&ratio),
-            "power split ratio must be in [0,1], got {ratio}"
-        );
-        OpticalPower(self.0 * ratio)
-    }
-
-    /// `true` when this power meets or exceeds `threshold`.
-    pub fn meets(self, threshold: OpticalPower) -> bool {
-        self.0 >= threshold.0
-    }
-}
-
-impl Add for OpticalPower {
-    type Output = OpticalPower;
-    fn add(self, rhs: OpticalPower) -> OpticalPower {
-        OpticalPower(self.0 + rhs.0)
-    }
-}
-
-impl Sum for OpticalPower {
-    fn sum<I: Iterator<Item = OpticalPower>>(iter: I) -> OpticalPower {
-        iter.fold(OpticalPower::ZERO, |a, b| a + b)
-    }
-}
-
-impl Mul<f64> for OpticalPower {
-    type Output = OpticalPower;
-    fn mul(self, rhs: f64) -> OpticalPower {
-        assert!(rhs.is_finite() && rhs >= 0.0, "power scale must be >= 0");
-        OpticalPower(self.0 * rhs)
-    }
 }
 
 impl fmt::Display for OpticalPower {
@@ -242,7 +200,6 @@ impl fmt::Display for OpticalPower {
 /// let ch0 = Wavelength::from_nm(1550.0);
 /// let ch1 = ch0.offset_nm(0.8);
 /// assert!((ch1.as_nm() - 1550.8).abs() < 1e-9);
-/// assert!(ch0.frequency_thz() > 193.0 && ch0.frequency_thz() < 194.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Wavelength(f64);
@@ -267,16 +224,6 @@ impl Wavelength {
     /// Wavelength in nanometres.
     pub fn as_nm(self) -> f64 {
         self.0
-    }
-
-    /// Wavelength in metres.
-    pub fn as_m(self) -> f64 {
-        self.0 * 1e-9
-    }
-
-    /// Optical frequency in THz (c / λ).
-    pub fn frequency_thz(self) -> f64 {
-        299_792.458 / self.0
     }
 
     /// A new wavelength shifted by `delta` nanometres.
@@ -329,18 +276,13 @@ impl EnergyPerBit {
         EnergyPerBit(fj * 1e-15)
     }
 
-    /// Creates an energy-per-bit from picojoules.
-    pub fn from_pj(pj: f64) -> Self {
-        Self::from_fj(pj * 1e3)
-    }
-
     /// Energy per bit in joules.
     pub fn as_joules(self) -> f64 {
         self.0
     }
 
     /// Energy per bit in femtojoules.
-    pub fn as_fj(self) -> f64 {
+    fn as_fj(self) -> f64 {
         self.0 * 1e15
     }
 
@@ -412,21 +354,6 @@ mod tests {
     }
 
     #[test]
-    fn power_meets_threshold() {
-        let sens = OpticalPower::from_dbm(-20.0);
-        assert!(OpticalPower::from_dbm(-19.9).meets(sens));
-        assert!(!OpticalPower::from_dbm(-20.1).meets(sens));
-        assert!(sens.meets(sens));
-    }
-
-    #[test]
-    fn wavelength_frequency() {
-        let w = Wavelength::from_nm(1550.0);
-        assert!((w.frequency_thz() - 193.414).abs() < 1e-2);
-        assert!((w.as_m() - 1.55e-6).abs() < 1e-15);
-    }
-
-    #[test]
     fn wavelength_distance_symmetric() {
         let a = Wavelength::from_nm(1550.0);
         let b = Wavelength::from_nm(1551.6);
@@ -436,7 +363,7 @@ mod tests {
 
     #[test]
     fn energy_per_bit_power() {
-        let e = EnergyPerBit::from_pj(1.0);
+        let e = EnergyPerBit::from_fj(1_000.0);
         assert!((e.as_fj() - 1000.0).abs() < 1e-9);
         assert!((e.power_watts(1e9) - 1e-3).abs() < 1e-12);
         assert!((e.energy_joules(1_000) - 1e-9).abs() < 1e-20);

@@ -43,17 +43,6 @@ impl Waveguide {
         }
     }
 
-    /// An ultra-low-loss variant (heterogeneously integrated, cf. Tran et
-    /// al. cited in the paper).
-    pub fn ultra_low_loss() -> Self {
-        Waveguide {
-            propagation_db_per_cm: 0.1,
-            bend_db: 0.002,
-            crossing_db: 0.02,
-            group_index: 4.0,
-        }
-    }
-
     /// Total loss over a path of `length_mm` with the given bend and
     /// crossing counts.
     ///
@@ -126,13 +115,6 @@ mod tests {
         // 10 mm at n_g=4.2: t = 10*4.2/0.2998 ≈ 140.1 ps
         let t = wg.flight_time_ps(10.0);
         assert!((t - 140.1).abs() < 0.5, "got {t}");
-    }
-
-    #[test]
-    fn ultra_low_loss_is_lower() {
-        let a = Waveguide::soi_strip().path_loss(30.0, 8, 4);
-        let b = Waveguide::ultra_low_loss().path_loss(30.0, 8, 4);
-        assert!(b < a);
     }
 
     #[test]

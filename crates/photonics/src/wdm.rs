@@ -15,7 +15,6 @@ use crate::units::Wavelength;
 ///
 /// let plan = ChannelPlan::dense(64)?;
 /// assert_eq!(plan.count(), 64);
-/// assert!(plan.span_nm() < 52.0);
 /// let ch = plan.wavelength(0);
 /// assert!(ch.as_nm() > 1520.0 && ch.as_nm() < 1580.0);
 /// # Ok::<(), lumos_photonics::link::LinkError>(())
@@ -82,17 +81,6 @@ impl ChannelPlan {
         self.spacing_nm
     }
 
-    /// Approximate channel spacing in GHz at the C band.
-    pub fn spacing_ghz(&self) -> f64 {
-        // Δf ≈ c·Δλ/λ²; at 1550 nm, 0.8 nm ≈ 99.9 GHz.
-        299_792_458.0 * self.spacing_nm * 1e-9 / (1.55e-6 * 1.55e-6) / 1e9
-    }
-
-    /// Total spectral span from first to last channel, nm.
-    pub fn span_nm(&self) -> f64 {
-        self.spacing_nm * (self.count - 1) as f64
-    }
-
     /// The `i`-th channel wavelength.
     ///
     /// # Panics
@@ -106,12 +94,6 @@ impl ChannelPlan {
     /// Iterates over all channel wavelengths in grid order.
     pub fn iter(&self) -> impl Iterator<Item = Wavelength> + '_ {
         (0..self.count).map(move |i| self.wavelength(i))
-    }
-
-    /// Whether the plan fits inside one free spectral range of `fsr_nm`
-    /// (otherwise ring filters alias across the grid).
-    pub fn fits_fsr(&self, fsr_nm: f64) -> bool {
-        self.span_nm() + self.spacing_nm <= fsr_nm
     }
 }
 
@@ -131,27 +113,9 @@ mod tests {
     }
 
     #[test]
-    fn spacing_ghz_anchor() {
-        let p = ChannelPlan::dense(2).unwrap();
-        assert!(
-            (p.spacing_ghz() - 99.8).abs() < 1.0,
-            "got {}",
-            p.spacing_ghz()
-        );
-    }
-
-    #[test]
-    fn fsr_check() {
-        let p = ChannelPlan::dense(16).unwrap(); // span 12 nm
-        assert!(p.fits_fsr(18.0));
-        assert!(!p.fits_fsr(10.0));
-    }
-
-    #[test]
     fn single_channel_plan() {
         let p = ChannelPlan::dense(1).unwrap();
         assert_eq!(p.count(), 1);
-        assert_eq!(p.span_nm(), 0.0);
         assert!((p.wavelength(0).as_nm() - 1550.0).abs() < 1e-9);
     }
 

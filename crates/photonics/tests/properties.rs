@@ -53,41 +53,6 @@ proptest! {
         }
     }
 
-    /// PCM coupler conserves power (≤ 1 out) in every state and its cross
-    /// fraction is monotone decreasing in crystallinity.
-    #[test]
-    fn pcmc_conservation_and_monotonicity(x1 in 0.0f64..1.0, x2 in 0.0f64..1.0) {
-        let mut c = PcmCoupler::typical();
-        let (lo, hi) = if x1 <= x2 { (x1, x2) } else { (x2, x1) };
-        c.set_state(PcmState::from_crystallinity(lo));
-        let f_lo = c.cross_fraction();
-        prop_assert!(c.cross_fraction() + c.bar_fraction() <= 1.0 + 1e-12);
-        c.set_state(PcmState::from_crystallinity(hi));
-        let f_hi = c.cross_fraction();
-        prop_assert!(f_hi <= f_lo + 1e-12);
-    }
-
-    /// The equal-split tap schedule delivers equal power to every active
-    /// gateway and nothing to inactive ones (ideal couplers).
-    #[test]
-    fn equal_split_is_equal(active in 1usize..16, extra in 0usize..8) {
-        let total = active + extra;
-        let taps = equal_split_taps(active, total);
-        let mut remaining = 1.0;
-        let mut delivered = Vec::new();
-        for &t in &taps {
-            delivered.push(remaining * t);
-            remaining *= 1.0 - t;
-        }
-        let expect = 1.0 / active as f64;
-        for d in &delivered[..active] {
-            prop_assert!((d - expect).abs() < 1e-9);
-        }
-        for d in &delivered[active..] {
-            prop_assert_eq!(*d, 0.0);
-        }
-    }
-
     /// Link budgets: more loss can never reduce the required laser power.
     #[test]
     fn laser_power_monotone_in_loss(loss in 0.0f64..20.0, extra in 0.1f64..10.0) {

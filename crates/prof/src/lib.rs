@@ -11,8 +11,7 @@
 //!   path
 //! * [`roofline`] — per-op arithmetic intensity against the platform's
 //!   compute and bandwidth ceilings ([`Ceilings`]), classifying every
-//!   op and serve stage as compute-, HBM-, network-, or
-//!   contention-bound
+//!   op as compute-, HBM- or network-bound
 //! * [`waterfall`] — per-request latency waterfalls of a serve trace
 //!   (queue → admit → prefill → per-tick decode → completion) with
 //!   contention dilation broken out against isolated stage times
@@ -54,6 +53,6 @@ pub mod waterfall;
 
 pub use critical::{critical_path, request_paths, CriticalPath, PathSegment};
 pub use flame::folded_stacks;
-pub use roofline::{Bound, Ceilings, OpProfile, Roofline, StageClass};
+pub use roofline::{Bound, Ceilings, OpProfile, Roofline};
 pub use series::{peaks, Peak};
 pub use waterfall::{waterfalls, IsolatedStages, Phase, RequestWaterfall};

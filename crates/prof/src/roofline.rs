@@ -1,5 +1,5 @@
 //! Roofline attribution: arithmetic intensity against platform
-//! ceilings, and bound classification for ops and serve stages.
+//! ceilings, and bound classification for ops.
 //!
 //! The roofline model asks one question per op: at this op's
 //! arithmetic intensity (MACs per byte of interposer traffic,
@@ -18,10 +18,6 @@
 //!
 //! On a zero-contention run the two must agree wherever the ratio is
 //! decisive — the self-consistency property the test suite pins.
-//! Serve *stages* (prefill, decode ticks) additionally dilate under
-//! processor sharing; [`StageClass`] breaks that out by comparing the
-//! observed stage time against its isolated (contention-1) tabulation
-//! and labels the stage contention-bound when dilation dominates.
 
 use std::collections::BTreeMap;
 
@@ -31,7 +27,7 @@ use lumos_core::platform::Platform;
 use lumos_noc::LinkModel;
 use lumos_trace::{ArgValue, EventKind, TraceEvent};
 
-/// What binds an op or serve stage.
+/// What binds an op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Bound {
     /// The MAC-class compute ceiling binds.
@@ -40,8 +36,6 @@ pub enum Bound {
     Hbm,
     /// The interposer fabric (phnet, mesh, or on-die bus) binds.
     Network,
-    /// Processor-sharing dilation binds (serve stages only).
-    Contention,
 }
 
 impl Bound {
@@ -51,7 +45,6 @@ impl Bound {
             Bound::Compute => "compute",
             Bound::Hbm => "hbm",
             Bound::Network => "network",
-            Bound::Contention => "contention",
         }
     }
 }
@@ -302,68 +295,6 @@ fn fmt(x: f64) -> String {
     format!("{}.{:03}", milli / 1000, (milli % 1000).unsigned_abs())
 }
 
-/// One serve stage's observed-vs-isolated classification.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageClass {
-    /// Served model name.
-    pub model: String,
-    /// Stage index (0 = single pass / prefill, `1..` = decode steps).
-    pub stage: usize,
-    /// Observed stage executions.
-    pub count: u64,
-    /// Total observed stage time, picoseconds.
-    pub observed_ps: u64,
-    /// Isolated (contention-1) time for the same executions,
-    /// picoseconds.
-    pub isolated_ps: u64,
-    /// Classification: contention-bound when dilation dominates the
-    /// observed time, otherwise the stage's analytic platform bound.
-    pub bound: Bound,
-}
-
-impl StageClass {
-    /// Processor-sharing dilation: observed minus isolated time,
-    /// picoseconds.
-    pub fn dilation_ps(&self) -> u64 {
-        self.observed_ps.saturating_sub(self.isolated_ps)
-    }
-}
-
-/// Classifies serve stages from per-stage observations.
-///
-/// `observations` holds `(model, stage, count, observed_ps,
-/// isolated_ps, platform_bound)` rows — the waterfall extractor and
-/// `lumos_serve`'s isolated stage tables supply them. A stage whose
-/// dilation exceeds `contention_fraction` of its observed time is
-/// contention-bound; otherwise it keeps its analytic platform bound.
-pub fn classify_stages(
-    observations: &[(String, usize, u64, u64, u64, Bound)],
-    contention_fraction: f64,
-) -> Vec<StageClass> {
-    observations
-        .iter()
-        .map(
-            |(model, stage, count, observed, isolated, platform_bound)| {
-                let dilation = observed.saturating_sub(*isolated);
-                let bound =
-                    if *observed > 0 && dilation as f64 / *observed as f64 > contention_fraction {
-                        Bound::Contention
-                    } else {
-                        *platform_bound
-                    };
-                StageClass {
-                    model: model.clone(),
-                    stage: *stage,
-                    count: *count,
-                    observed_ps: *observed,
-                    isolated_ps: *isolated,
-                    bound,
-                }
-            },
-        )
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,18 +331,6 @@ mod tests {
             slower_net.analytic_bound(MacClass::Dense100, 5.0),
             Bound::Network
         );
-    }
-
-    #[test]
-    fn stage_classification_breaks_out_contention() {
-        let rows = vec![
-            ("m".to_owned(), 1, 10u64, 1_000u64, 900u64, Bound::Hbm),
-            ("m".to_owned(), 2, 10, 1_000, 200, Bound::Hbm),
-        ];
-        let classes = classify_stages(&rows, 0.25);
-        assert_eq!(classes[0].bound, Bound::Hbm);
-        assert_eq!(classes[0].dilation_ps(), 100);
-        assert_eq!(classes[1].bound, Bound::Contention);
     }
 
     #[test]

@@ -9,6 +9,11 @@ use lumos_xformer::TransformerConfig;
 
 use crate::error::ServeError;
 
+/// The most arrivals a run may expect over its horizon
+/// (Σₘ rateₘ × load scale × duration). `simulate` draws and stores
+/// every arrival up front, so the expected count sets its memory.
+const MAX_EXPECTED_ARRIVALS: f64 = 1e7;
+
 /// The lowering recipe behind a generator's decode steps — retained so
 /// the continuous-batching profiler can re-lower any step at a batch
 /// multiple ([`ServedModel::decode_step_at_batch`]).
@@ -49,7 +54,7 @@ pub struct GeneratorSpec {
 /// let resnet = ServedModel::cnn(&lumos_dnn::zoo::resnet50(), Precision::int8(), 200.0, 10.0);
 /// assert_eq!(resnet.name, "resnet50");
 /// assert!(resnet.workloads.len() > 50);
-/// assert!(!resnet.is_generator());
+/// assert_eq!(resnet.n_stages(), 1);
 /// let gpt2 = ServedModel::generator(
 ///     &lumos_xformer::zoo::gpt2_small(),
 ///     128,
@@ -59,7 +64,6 @@ pub struct GeneratorSpec {
 ///     5.0,
 ///     500.0,
 /// );
-/// assert!(gpt2.is_generator());
 /// assert_eq!(gpt2.n_stages(), 9); // prefill + 8 decode steps
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -220,12 +224,6 @@ impl ServedModel {
                 spec.precision,
             )
         })
-    }
-
-    /// Whether requests are closed-loop generations (prefill + decode
-    /// steps) rather than single-pass inferences.
-    pub fn is_generator(&self) -> bool {
-        !self.decode_steps.is_empty()
     }
 
     /// Stages one request executes, in order: the first stream, then
@@ -466,7 +464,8 @@ impl ServeConfig {
     }
 
     /// Checks internal consistency (platform config, model mix, traffic
-    /// knobs).
+    /// knobs), and that the run expects at most 10⁷ arrivals
+    /// ([`offered_rps`](Self::offered_rps) × duration).
     ///
     /// # Errors
     ///
@@ -509,6 +508,17 @@ impl ServeConfig {
                 reason: format!(
                     "model {} offered rate {} × load scale {} is not finite",
                     m.name, m.rate_rps, self.load_scale
+                ),
+            });
+        }
+        let offered = self.offered_rps();
+        let expected = offered * self.duration_s;
+        if expected.is_nan() || expected > MAX_EXPECTED_ARRIVALS {
+            return Err(ServeError::BadConfig {
+                reason: format!(
+                    "expected arrivals {expected:.3e} ({offered} rps × {} s) exceed the \
+                     {MAX_EXPECTED_ARRIVALS:e} a run may hold",
+                    self.duration_s
                 ),
             });
         }
@@ -612,14 +622,26 @@ mod tests {
         )
         .with_duration_s(0.01);
         let profiles = crate::build_profiles(&base).expect("profiles build");
-        let mut huge = base.with_load_scale(1e200);
-        huge.models[0].rate_rps = 1e200;
         // Each value is finite; their product is not.
-        let err = huge.validate().expect_err("offered rate overflows");
-        assert!(err.to_string().contains("model lenet5"), "{err}");
-        assert!(crate::build_profiles(&huge).is_err());
-        assert!(crate::simulate(&huge).is_err());
-        assert!(crate::simulate_with_profiles(&huge, &profiles).is_err());
+        let mut overflowing = base.clone().with_load_scale(1e200);
+        overflowing.models[0].rate_rps = 1e200;
+        // A finite rate whose arrival stream would hold ~10⁹ requests.
+        let mut flooding = base.with_duration_s(1.0);
+        flooding.models[0].rate_rps = 1e9;
+        for (cfg, named) in [
+            (&overflowing, "model lenet5"),
+            (&flooding, "expected arrivals 1.000e9"),
+        ] {
+            // `validate` first: an entry point that let this through
+            // would try to hold the whole arrival stream.
+            let err = cfg.validate().expect_err(named);
+            assert!(err.to_string().contains(named), "{err}");
+            assert!(crate::build_profiles(cfg).is_err());
+            assert!(crate::simulate(cfg).is_err());
+            assert!(crate::simulate_traced(cfg).is_err());
+            assert!(crate::simulate_metered(cfg).is_err());
+            assert!(crate::simulate_with_profiles(cfg, &profiles).is_err());
+        }
     }
 
     #[test]
@@ -706,7 +728,6 @@ mod tests {
             5.0,
             500.0,
         );
-        assert!(g.is_generator());
         assert_eq!(g.n_stages(), 5);
         assert_eq!(g.stages().count(), 5);
         g.validate().expect("generator validates");

@@ -40,7 +40,7 @@ const SERVE_KEY_SCHEMA: u64 = 4;
 /// workload stream, decode-step streams, generator recipe (when one is
 /// recorded — two mixes with identical lowered stages but different
 /// re-lowering recipes batch differently), offered rate, and SLO.
-pub fn mix_fingerprint(models: &[ServedModel]) -> u64 {
+fn mix_fingerprint(models: &[ServedModel]) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(SERVE_KEY_SCHEMA);
     h.write_str(env!("CARGO_PKG_VERSION"));

@@ -1,14 +1,14 @@
 //! # lumos-sim — discrete-event simulation kernel
 //!
 //! The simulation substrate shared by every LUMOS network and accelerator
-//! model: a picosecond-resolution clock, a deterministic event queue,
-//! FIFO bandwidth servers for transfer-granularity link modeling,
-//! statistics collectors, and seeded randomness.
+//! model: a picosecond-resolution clock, FIFO bandwidth servers for
+//! transfer-granularity link modeling, a time-weighted integral and
+//! exact percentiles, and seeded randomness.
 //!
 //! Design goals:
 //!
 //! * **Determinism** — identical seeds and inputs produce bit-identical
-//!   results; event ties break FIFO, RNG streams are explicit.
+//!   results; servers are FIFO, RNG streams are explicit.
 //! * **Transfer granularity** — the unit of simulated work is a multi-bit
 //!   transfer, not a flit, so full DNN executions (10⁹+ bits) simulate in
 //!   milliseconds of wall time.
@@ -16,34 +16,27 @@
 //! # Examples
 //!
 //! ```
-//! use lumos_sim::{resource::BandwidthServer, EventQueue, SimTime};
+//! use lumos_sim::{resource::BandwidthServer, SimTime};
 //!
 //! // Serialize two DMA bursts over a 12 Gb/s optical wavelength.
 //! let mut lambda = BandwidthServer::new(12.0);
 //! let g1 = lambda.serve(SimTime::ZERO, 4_096);
 //! let g2 = lambda.serve(SimTime::ZERO, 4_096);
 //! assert!(g2.start == g1.finish);
-//!
-//! // Drive an event loop.
-//! let mut q = EventQueue::new();
-//! q.push(g1.finish, "burst 1 done");
-//! q.push(g2.finish, "burst 2 done");
-//! assert_eq!(q.pop().map(|(_, e)| e), Some("burst 1 done"));
+//! assert_eq!(g2.queue_delay, g1.finish);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod resource;
 pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use event::{run_until_idle, EventQueue, Scheduled};
 pub use resource::{BandwidthServer, Grant, ServerPool};
 pub use rng::SimRng;
-pub use stats::{Counters, LatencyHistogram, OnlineStats, TimeWeighted};
+pub use stats::TimeWeighted;
 pub use time::SimTime;
 
 #[cfg(test)]
@@ -57,8 +50,6 @@ mod sendsync {
     fn public_types_are_send_sync() {
         assert_send::<SimTime>();
         assert_sync::<SimTime>();
-        assert_send::<EventQueue<u64>>();
-        assert_sync::<EventQueue<u64>>();
         assert_send::<BandwidthServer>();
         assert_sync::<BandwidthServer>();
         assert_send::<ServerPool>();

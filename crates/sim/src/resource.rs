@@ -91,7 +91,7 @@ impl BandwidthServer {
     }
 
     /// Earliest instant at which a new transfer could start.
-    pub fn available_at(&self) -> SimTime {
+    fn available_at(&self) -> SimTime {
         self.busy_until
     }
 
@@ -243,15 +243,6 @@ impl ServerPool {
         worst.expect("pool has at least one active server")
     }
 
-    /// Earliest instant any active server becomes available.
-    pub fn available_at(&self) -> SimTime {
-        self.servers[..self.active]
-            .iter()
-            .map(BandwidthServer::available_at)
-            .min()
-            .expect("pool has at least one active server")
-    }
-
     /// Resets every server to idle, clearing statistics.
     pub fn reset(&mut self) {
         for s in &mut self.servers {
@@ -360,7 +351,7 @@ mod tests {
         let _ = p.serve(SimTime::ZERO, 1000);
         p.reset();
         assert_eq!(p.served_bits(), 0);
-        assert_eq!(p.available_at(), SimTime::ZERO);
+        assert_eq!(p.serve(SimTime::ZERO, 1).start, SimTime::ZERO);
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Deterministic random-number utilities for reproducible simulations.
 //!
 //! Self-contained (no external crates): a xoshiro256++ core seeded via
-//! splitmix64, plus the handful of distributions the simulators use.
+//! splitmix64, with one distribution: the exponential inter-arrival
+//! times of the serving simulator's Poisson arrivals.
 
-/// A seeded RNG with helpers for the distributions the simulators use.
+/// A seeded RNG: exponential draws and independent child streams.
 ///
 /// Every simulation entry point takes an explicit seed so that runs are
 /// exactly reproducible; `SimRng` centralizes construction so no component
@@ -16,7 +17,7 @@
 ///
 /// let mut a = SimRng::seed_from(42);
 /// let mut b = SimRng::seed_from(42);
-/// assert_eq!(a.uniform_u64(100), b.uniform_u64(100));
+/// assert_eq!(a.exponential(2.0).to_bits(), b.exponential(2.0).to_bits());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -66,65 +67,10 @@ impl SimRng {
     }
 
     /// Derives an independent child RNG; `label` decorrelates streams that
-    /// share a parent seed (e.g. per-chiplet process variation).
+    /// share a parent seed (e.g. one arrival stream per served model).
     pub fn fork(&mut self, label: u64) -> SimRng {
         let s: u64 = self.next_u64() ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         SimRng::seed_from(s)
-    }
-
-    /// Uniform integer in `[0, bound)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn uniform_u64(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        // Multiply-shift rejection (Lemire); bias-free.
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128) * (bound as u128);
-            let lo = m as u64;
-            if lo < bound {
-                let threshold = bound.wrapping_neg() % bound;
-                if lo < threshold {
-                    continue;
-                }
-            }
-            return (m >> 64) as u64;
-        }
-    }
-
-    /// Uniform float in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi` or either bound is not finite.
-    pub fn uniform_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        assert!(lo.is_finite() && hi.is_finite() && lo < hi, "invalid range");
-        let x = lo + self.unit_f64() * (hi - lo);
-        // Guard against rounding up to the excluded endpoint.
-        if x >= hi {
-            lo
-        } else {
-            x
-        }
-    }
-
-    /// Standard-normal sample via Box-Muller (no extra deps).
-    pub fn standard_normal(&mut self) -> f64 {
-        let u1: f64 = self.unit_f64().max(f64::MIN_POSITIVE);
-        let u2: f64 = self.unit_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Normal sample with the given mean and standard deviation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `std_dev` is negative or not finite.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev.is_finite() && std_dev >= 0.0, "invalid std dev");
-        mean + std_dev * self.standard_normal()
     }
 
     /// Exponential sample with the given rate (events per unit time) —
@@ -139,12 +85,6 @@ impl SimRng {
         // unit_f64() is in [0, 1), so the argument of ln is in (0, 1].
         -(1.0 - self.unit_f64()).ln() / rate
     }
-
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        self.unit_f64() < p
-    }
 }
 
 #[cfg(test)]
@@ -156,7 +96,7 @@ mod tests {
         let mut a = SimRng::seed_from(7);
         let mut b = SimRng::seed_from(7);
         for _ in 0..100 {
-            assert_eq!(a.uniform_u64(1_000_000), b.uniform_u64(1_000_000));
+            assert_eq!(a.exponential(3.0).to_bits(), b.exponential(3.0).to_bits());
         }
     }
 
@@ -165,20 +105,9 @@ mod tests {
         let mut root = SimRng::seed_from(1);
         let mut c1 = root.fork(0);
         let mut c2 = root.fork(1);
-        let s1: Vec<u64> = (0..10).map(|_| c1.uniform_u64(1000)).collect();
-        let s2: Vec<u64> = (0..10).map(|_| c2.uniform_u64(1000)).collect();
+        let s1: Vec<u64> = (0..10).map(|_| c1.exponential(1.0).to_bits()).collect();
+        let s2: Vec<u64> = (0..10).map(|_| c2.exponential(1.0).to_bits()).collect();
         assert_ne!(s1, s2);
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut r = SimRng::seed_from(99);
-        let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(5.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
-        assert!((mean - 5.0).abs() < 0.1, "mean drifted: {mean}");
-        assert!((var - 4.0).abs() < 0.3, "variance drifted: {var}");
     }
 
     #[test]
@@ -194,33 +123,5 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 1.0 / rate).abs() < 0.01, "mean drifted: {mean}");
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let mut r = SimRng::seed_from(3);
-        assert!(!r.chance(0.0));
-        assert!(r.chance(1.0));
-        assert!(!r.chance(-5.0));
-        assert!(r.chance(2.0));
-    }
-
-    #[test]
-    fn uniform_f64_in_range() {
-        let mut r = SimRng::seed_from(11);
-        for _ in 0..1000 {
-            let x = r.uniform_f64(-2.0, 3.0);
-            assert!((-2.0..3.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn uniform_u64_covers_small_bounds() {
-        let mut r = SimRng::seed_from(17);
-        let mut seen = [false; 5];
-        for _ in 0..1000 {
-            seen[r.uniform_u64(5) as usize] = true;
-        }
-        assert!(seen.iter().all(|&s| s), "small bound not fully covered");
     }
 }

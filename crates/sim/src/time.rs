@@ -88,7 +88,7 @@ impl SimTime {
 
     /// Time in fractional microseconds.
     #[inline]
-    pub fn as_us_f64(self) -> f64 {
+    fn as_us_f64(self) -> f64 {
         self.0 as f64 / 1e6
     }
 
@@ -222,26 +222,6 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// Converts a frequency in GHz to the corresponding period.
-///
-/// # Panics
-///
-/// Panics if `ghz` is not strictly positive and finite.
-///
-/// # Examples
-///
-/// ```
-/// use lumos_sim::time::period_of_ghz;
-/// assert_eq!(period_of_ghz(2.0).as_ps(), 500);
-/// ```
-pub fn period_of_ghz(ghz: f64) -> SimTime {
-    assert!(
-        ghz.is_finite() && ghz > 0.0,
-        "frequency must be positive and finite, got {ghz}"
-    );
-    SimTime::from_secs_f64(1.0 / (ghz * 1e9))
-}
-
 /// Time to serialize `bits` at `gbps` gigabits per second.
 ///
 /// Rounds up to a whole picosecond so that a transfer never finishes
@@ -322,25 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn period_of_common_clocks() {
-        assert_eq!(period_of_ghz(1.0).as_ps(), 1_000);
-        assert_eq!(period_of_ghz(2.0).as_ps(), 500);
-        assert_eq!(period_of_ghz(0.5).as_ps(), 2_000);
-    }
-
-    #[test]
     fn serialization_rounds_up() {
         // 1 bit at 12 Gb/s = 83.33 ps -> 84 ps.
         assert_eq!(serialization_time(1, 12.0).as_ps(), 84);
         assert_eq!(serialization_time(0, 12.0), SimTime::ZERO);
         // 128 bits at 2 GHz*128-bit bus is handled by caller; raw rate here.
         assert_eq!(serialization_time(1_000, 1.0).as_ps(), 1_000_000);
-    }
-
-    #[test]
-    #[should_panic(expected = "frequency must be positive")]
-    fn period_rejects_zero() {
-        let _ = period_of_ghz(0.0);
     }
 
     #[test]

@@ -2,36 +2,10 @@
 
 use lumos_sim::resource::{BandwidthServer, ServerPool};
 use lumos_sim::time::serialization_time;
-use lumos_sim::{EventQueue, SimTime};
+use lumos_sim::SimTime;
 use proptest::prelude::*;
 
 proptest! {
-    /// Events always pop in non-decreasing time order regardless of the
-    /// insertion order.
-    #[test]
-    fn queue_pops_sorted(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ps(t), i);
-        }
-        let mut last = SimTime::ZERO;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-        }
-    }
-
-    /// Same-timestamp events preserve insertion order (FIFO).
-    #[test]
-    fn queue_fifo_at_equal_times(n in 1usize..100) {
-        let mut q = EventQueue::new();
-        for i in 0..n {
-            q.push(SimTime::from_ns(42), i);
-        }
-        let popped: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(popped, (0..n).collect::<Vec<_>>());
-    }
-
     /// A FIFO server never starts a transfer before its arrival, never
     /// overlaps transfers, and conserves bits.
     #[test]

@@ -42,14 +42,15 @@ use crate::ops::{OpKind, XformerOp};
 /// # Examples
 ///
 /// ```
+/// use lumos_dnn::workload::Precision;
 /// use lumos_xformer::decode::KvCache;
 ///
 /// let gpt2 = lumos_xformer::zoo::gpt2_small();
 /// let cache = KvCache::new(512, 1);
-/// // K and V, 512 tokens × 768 hidden, per layer:
-/// assert_eq!(cache.elems_per_layer(&gpt2), 2 * 512 * 768);
-/// // One step reads the whole cache plus the fresh row, per layer:
-/// assert_eq!(cache.read_elems_per_layer(&gpt2), 2 * 513 * 768);
+/// // K and V, 512 tokens × 768 hidden, over 12 layers at 8 bits:
+/// assert_eq!(cache.total_bits(&gpt2, Precision::int8()), 12 * 2 * 512 * 768 * 8);
+/// // One step reads the whole cache plus the fresh row:
+/// assert_eq!(cache.read_bits_per_step(&gpt2, Precision::int8()), 12 * 2 * 513 * 768 * 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KvCache {
@@ -72,14 +73,14 @@ impl KvCache {
 
     /// Elements resident in the cache per layer **per stream**: K and V
     /// rows for every cached token (`2 · len · d_model`).
-    pub fn elems_per_layer(&self, cfg: &TransformerConfig) -> u64 {
+    fn elems_per_layer(&self, cfg: &TransformerConfig) -> u64 {
         2 * self.len as u64 * cfg.d_model as u64
     }
 
     /// Elements one decode step streams out of memory per layer per
     /// stream: the K and V operands over the full context
     /// (`2 · (len + 1) · d_model` — the cache plus the fresh row).
-    pub fn read_elems_per_layer(&self, cfg: &TransformerConfig) -> u64 {
+    fn read_elems_per_layer(&self, cfg: &TransformerConfig) -> u64 {
         2 * self.context() as u64 * cfg.d_model as u64
     }
 

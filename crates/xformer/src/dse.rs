@@ -40,7 +40,7 @@ pub fn model_fingerprint(model: &TransformerConfig) -> u64 {
 /// hashed, so requests a patch model (ViT) or the position-table clamp
 /// collapses to the same workload share one cache entry instead of
 /// re-simulating per requested length.
-pub fn scenario_fingerprint(model: &TransformerConfig, seq_len: u32, batch: u32) -> u64 {
+fn scenario_fingerprint(model: &TransformerConfig, seq_len: u32, batch: u32) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(model_fingerprint(model));
     h.write_u32(model.effective_seq(seq_len));
@@ -111,7 +111,7 @@ pub fn evaluate(
 /// from prefill [`scenario_fingerprint`]s even where the lowered shapes
 /// coincide (a cache-0 step vs a seq-1 prefill carry different
 /// KV-write traffic).
-pub fn decode_fingerprint(model: &TransformerConfig, cache_len: u32, batch: u32) -> u64 {
+fn decode_fingerprint(model: &TransformerConfig, cache_len: u32, batch: u32) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(model_fingerprint(model));
     h.write_u64(u64::from_be_bytes(*b"KVDECODE"));
@@ -123,7 +123,7 @@ pub fn decode_fingerprint(model: &TransformerConfig, cache_len: u32, batch: u32)
 /// The memoization key of one `(configuration, platform, decode
 /// scenario)` point — the decode counterpart of [`scenario_key`],
 /// with the cache depth folded into the fingerprint.
-pub fn decode_key(
+fn decode_key(
     cfg: &PlatformConfig,
     platform: &Platform,
     model: &TransformerConfig,
@@ -140,14 +140,14 @@ pub fn decode_key(
 
 /// The display label of a decode-step run (also the report's model
 /// name).
-pub fn decode_label(model: &TransformerConfig, cache_len: u32, batch: u32) -> String {
+fn decode_label(model: &TransformerConfig, cache_len: u32, batch: u32) -> String {
     format!("{} (decode @ cache {cache_len}, batch {batch})", model.name)
 }
 
 /// Evaluates one decode step, folding infeasible configurations into
 /// NaN-metric records. `latency_ms` is the **per-token latency** of one
 /// generated token at this cache depth.
-pub fn evaluate_decode(
+fn evaluate_decode(
     cfg: &PlatformConfig,
     platform: &Platform,
     model: &TransformerConfig,
