@@ -440,8 +440,6 @@ struct LinkPasses {
     backend: Backend,
     /// Where the next pass starts, on idle links.
     t: SimTime,
-    /// The transfers a pass logs on the electrical mesh (unread).
-    mesh: Vec<MeshSend>,
     /// The photonic interposer's active sets met so far, the boot set
     /// first, by set id; empty on the other platforms, whose layers all
     /// run on set 0.
@@ -466,7 +464,6 @@ impl LinkPasses {
         Ok(LinkPasses {
             backend,
             t: SimTime::ZERO,
-            mesh: Vec::new(),
             sets,
             stalls: vec![vec![SimTime::ZERO]],
             first: vec![None; table.shapes.len()],
@@ -532,11 +529,10 @@ impl LinkPasses {
             None => {}
         }
         let start = self.t;
-        let (hbm, net) = self.backend.stream_in(io, start, &mut self.mesh);
+        let (hbm, net) = self.backend.stream_in(io, start, None);
         let in_fin = hbm.max(net);
-        let (hbm, net) = self.backend.stream_out(io, in_fin, &mut self.mesh);
+        let (hbm, net) = self.backend.stream_out(io, in_fin, None);
         self.t = hbm.max(net);
-        self.mesh.clear();
         let timing = (in_fin - start, self.t - in_fin);
         match self.first[shape] {
             None => self.first[shape] = Some((set, timing.0, timing.1)),
@@ -791,9 +787,9 @@ impl Backend {
         compute_end: SimTime,
         mesh: &mut Vec<MeshSend>,
     ) -> LayerTimes {
-        let (hbm_in_fin, net_in_fin) = self.stream_in(io, start, mesh);
+        let (hbm_in_fin, net_in_fin) = self.stream_in(io, start, Some(&mut *mesh));
         let compute_fin = hbm_in_fin.max(net_in_fin).max(compute_end);
-        let (hbm_out_fin, net_out_fin) = self.stream_out(io, compute_fin, mesh);
+        let (hbm_out_fin, net_out_fin) = self.stream_out(io, compute_fin, Some(mesh));
         LayerTimes {
             hbm_in_fin,
             net_in_fin,
@@ -808,12 +804,12 @@ impl Backend {
     /// Returns when the HBM reads and when the fabric deliveries finish.
     /// The two link families finish independently (HBM channel vs.
     /// interposer/bus fabric) so the trace can attribute the stream to
-    /// each. Mesh transfers are logged to `mesh`.
+    /// each. Mesh transfers are logged to `mesh`, if given.
     fn stream_in(
         &mut self,
         io: &LayerIo,
         start: SimTime,
-        mesh: &mut Vec<MeshSend>,
+        mut mesh: Option<&mut Vec<MeshSend>>,
     ) -> (SimTime, SimTime) {
         let LayerIo {
             w,
@@ -843,7 +839,9 @@ impl Backend {
                 let hbm_a = hbm.read(start, w.input_bits).finish;
                 let mut send = |at: SimTime, dst: Coord, bits: u64| {
                     let t = net.transfer_packets(at, *mem, dst, bits, *packet_bits);
-                    mesh.push((t.hops, bits));
+                    if let Some(log) = mesh.as_mut() {
+                        log.push((t.hops, bits));
+                    }
                     t.finish
                 };
                 let mut net_fin = SimTime::ZERO;
@@ -870,12 +868,12 @@ impl Backend {
 
     /// Issues a layer's write-back at `at`, one output shard per chiplet;
     /// returns when the HBM write and the fabric finish. Mesh transfers
-    /// are logged to `mesh`.
+    /// are logged to `mesh`, if given.
     fn stream_out(
         &mut self,
         io: &LayerIo,
         at: SimTime,
-        mesh: &mut Vec<MeshSend>,
+        mut mesh: Option<&mut Vec<MeshSend>>,
     ) -> (SimTime, SimTime) {
         let LayerIo {
             w,
@@ -904,7 +902,9 @@ impl Backend {
                 for &c in chiplets {
                     let t =
                         net.transfer_packets(at, positions[c], *mem, output_shard, *packet_bits);
-                    mesh.push((t.hops, output_shard));
+                    if let Some(log) = mesh.as_mut() {
+                        log.push((t.hops, output_shard));
+                    }
                     net_fin = net_fin.max(t.finish);
                 }
                 (hbm_fin, net_fin)

@@ -8,6 +8,7 @@
 //! the hotspot behaviour that throttles the paper's 2.5D electrical
 //! baseline around the memory chiplet.
 
+use lumos_sim::time::serialization_time;
 use lumos_sim::{BandwidthServer, SimTime};
 
 use crate::link::{LinkModel, RouterModel};
@@ -47,6 +48,7 @@ pub struct MeshNetwork {
     router_model: RouterModel,
     /// One server per node and outgoing direction, at
     /// [`link_slot`]; slots of links off the mesh edge stay unused.
+    /// All run at the link model's rate, which nothing changes.
     links: Vec<BandwidthServer>,
     energy_j: f64,
 }
@@ -137,7 +139,9 @@ impl MeshNetwork {
     ///
     /// The path's links are occupied for the whole exchange (so
     /// contention is still modelled), while energy is charged for the
-    /// real payload bits only.
+    /// real payload bits only. Every link runs at one rate
+    /// ([`MeshNetwork::new`] builds them so), so that occupancy is timed
+    /// once per transfer, not once per link.
     ///
     /// # Panics
     ///
@@ -161,8 +165,7 @@ impl MeshNetwork {
         let path = xy_hops(&self.mesh, src, dst);
         let hops = path.len() as u64;
         let per_hop = self.router_model.hop_latency() + self.link_model.packet_hop_latency();
-        let packet_ser =
-            lumos_sim::time::serialization_time(packet_bits, self.link_model.bandwidth_gbps());
+        let packet_ser = serialization_time(packet_bits, self.link_model.bandwidth_gbps());
         let packets = bits.div_ceil(packet_bits);
         // Each packet: serialize once + traverse every hop out AND back
         // (request/response round trip); the next packet waits for the
@@ -174,10 +177,11 @@ impl MeshNetwork {
         // equivalent link occupancy bits.
         let equiv_bits =
             (duration.as_ps() as f64 * self.link_model.bandwidth_gbps() / 1e3).ceil() as u64;
+        let occupancy = serialization_time(equiv_bits, self.links[0].rate_gbps());
         let mut start = None;
         let mut finish = at;
         for link in path {
-            let grant = self.links[link_slot(&self.mesh, link)].serve(at, equiv_bits);
+            let grant = self.links[link_slot(&self.mesh, link)].occupy(at, occupancy, equiv_bits);
             start.get_or_insert(grant.start);
             finish = finish.max(grant.finish);
         }

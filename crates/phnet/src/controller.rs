@@ -101,7 +101,6 @@ pub struct EpochController {
     wavelengths: usize,
     current: ActiveSet,
     pcmc: PcmCoupler,
-    reconfigs: usize,
 }
 
 impl EpochController {
@@ -133,7 +132,6 @@ impl EpochController {
                 wavelengths,
             },
             pcmc: PcmCoupler::typical(),
-            reconfigs: 0,
         }
     }
 
@@ -145,11 +143,6 @@ impl EpochController {
     /// The currently active resource set.
     pub fn current(&self) -> &ActiveSet {
         &self.current
-    }
-
-    /// Number of reconfigurations applied so far.
-    pub fn reconfig_count(&self) -> usize {
-        self.reconfigs
     }
 
     /// Plans the next epoch from the observed per-chiplet demand (bits
@@ -254,7 +247,6 @@ impl EpochController {
             return ReconfigCost::default();
         }
         let cost = self.switch_cost(&self.current, &target);
-        self.reconfigs += 1;
         self.current = target;
         cost
     }
@@ -336,14 +328,6 @@ mod tests {
         // Unchanged plan: free.
         let (_, cost2) = c.plan_epoch(&demand(&[0.0, 0.0]), 768.0);
         assert_eq!(cost2, ReconfigCost::default());
-    }
-
-    #[test]
-    fn totals_accumulate() {
-        let mut c = EpochController::new(ReconfigPolicy::ResipiGateways, 2, 2, 2, 64);
-        let _ = c.plan_epoch(&demand(&[0.0, 0.0]), 768.0);
-        let _ = c.plan_epoch(&demand(&[2e12, 2e12]), 768.0);
-        assert_eq!(c.reconfig_count(), 2);
     }
 
     #[test]

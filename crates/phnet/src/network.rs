@@ -38,12 +38,6 @@ pub struct PhnetReport {
     pub energy_j: f64,
     /// Time-averaged network power over the run, watts.
     pub avg_power_w: f64,
-    /// Bits moved (reads + writes).
-    pub bits_moved: u64,
-    /// Reconfigurations applied.
-    pub reconfigs: usize,
-    /// Total PCM write stall time, nanoseconds.
-    pub reconfig_stall_ns: f64,
 }
 
 /// The photonic interposer network.
@@ -74,10 +68,7 @@ pub struct PhotonicInterposer {
     idle_power: TimeWeighted,
     eo_oe_j_per_bit: f64,
     eo_oe_accum: f64,
-    bits_read: u64,
-    bits_written: u64,
     reconfig_energy_j: f64,
-    reconfig_stall_ns: f64,
     conversion: SimTime,
     flight: SimTime,
 }
@@ -151,10 +142,7 @@ impl PhotonicInterposer {
             idle_power: TimeWeighted::new(SimTime::ZERO, 0.0),
             eo_oe_j_per_bit,
             eo_oe_accum: 0.0,
-            bits_read: 0,
-            bits_written: 0,
             reconfig_energy_j: 0.0,
-            reconfig_stall_ns: 0.0,
             conversion,
             flight,
         };
@@ -242,7 +230,6 @@ impl PhotonicInterposer {
             pool.set_rate_gbps(lambda_rate);
         }
         self.reconfig_energy_j += cost.energy_j;
-        self.reconfig_stall_ns += cost.latency_ns;
         let stall = stall_of(cost);
         let when = at + stall;
         let p = self.static_power_of(set);
@@ -326,8 +313,8 @@ impl PhotonicInterposer {
         self.chiplet_tx[chiplet].set_active(surviving.max(1));
     }
 
-    /// Charges a unicast read of `bits` (its bits and EO/OE energy)
-    /// without occupying a lane: the accounting half of
+    /// Charges a unicast read of `bits` (its EO/OE energy) without
+    /// occupying a lane: the accounting half of
     /// [`PhotonicInterposer::read_unicast`], which calls it once per
     /// transfer. A caller that already knows a transfer's timing
     /// replays it with this alone; lane occupancy is left as it was. A
@@ -335,33 +322,24 @@ impl PhotonicInterposer {
     /// [`PhotonicInterposer::account_broadcast`] and
     /// [`PhotonicInterposer::account_write`].
     pub fn account_unicast(&mut self, bits: u64) {
-        self.account_read(bits, 1);
+        self.account_eo_oe(bits, 1);
     }
 
     /// The accounting half of [`PhotonicInterposer::read_broadcast`]:
     /// every chiplet's receiver burns O-E energy on the same stream.
     pub fn account_broadcast(&mut self, bits: u64) {
-        self.account_read(bits, self.cfg.compute_chiplets as u64);
+        self.account_eo_oe(bits, self.cfg.compute_chiplets as u64);
     }
 
     /// The accounting half of [`PhotonicInterposer::write`].
     pub fn account_write(&mut self, bits: u64) {
-        if bits == 0 {
-            return;
-        }
-        self.bits_written += bits;
         self.account_eo_oe(bits, 1);
     }
 
-    fn account_read(&mut self, bits: u64, receivers: u64) {
+    fn account_eo_oe(&mut self, bits: u64, receivers: u64) {
         if bits == 0 {
             return;
         }
-        self.bits_read += bits;
-        self.account_eo_oe(bits, receivers);
-    }
-
-    fn account_eo_oe(&mut self, bits: u64, receivers: u64) {
         // Modulation happens once; reception on `receivers` gateways.
         let tx = self.eo_oe_j_per_bit * bits as f64;
         let rx_extra = (receivers.saturating_sub(1)) as f64
@@ -378,9 +356,6 @@ impl PhotonicInterposer {
         PhnetReport {
             energy_j: energy,
             avg_power_w: if secs > 0.0 { energy / secs } else { 0.0 },
-            bits_moved: self.bits_read + self.bits_written,
-            reconfigs: self.controller.reconfig_count(),
-            reconfig_stall_ns: self.reconfig_stall_ns,
         }
     }
 }
@@ -524,7 +499,6 @@ mod tests {
         let report = n.finalize(t.finish + SimTime::from_us(10));
         assert!(report.energy_j > 0.0);
         assert!(report.avg_power_w > 0.0);
-        assert_eq!(report.bits_moved, 1 << 24);
     }
 
     #[test]

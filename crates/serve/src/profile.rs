@@ -343,10 +343,14 @@ enum Cells {
 /// level.
 ///
 /// Each model's streams go into one [`ShapeTable`]: its stages, then
-/// (continuous batching) each decode step re-lowered at every batch
-/// depth `b = 2..=max_batch`, one at a time, each dropped once added.
-/// The table places each distinct layer shape once. Then a model runs
-/// these jobs, each a single table call:
+/// (continuous batching) each decode step re-lowered from the model's
+/// [`GeneratorSpec`](crate::config::GeneratorSpec) at every batch depth
+/// `b = 2..=max_batch`, one at a time, each dropped once added. The
+/// re-lowering is
+/// [`extract_decode_workloads_nameless`](lumos_xformer::extract_decode_workloads_nameless):
+/// the table keeps no names, so none are formatted. The table places
+/// each distinct layer shape once. Then a model runs these jobs, each a
+/// single table call:
 ///
 /// * one per stage: [`ShapeTable::execute`] at `k = 1`, because that
 ///   run's energy and bits are the model's per-request totals, and its
@@ -363,10 +367,10 @@ enum Cells {
 ///
 /// The closed form equals the executed total latency bit for bit and
 /// simulates each distinct shape's links once per call. A GPT-2
-/// generator of 13 stages and 36 re-lowered decode steps (190 distinct
-/// shapes), `K = 16` and `continuous(4)` then makes 13 executes and 16
-/// row calls per platform, 29 backends in all, where tabulating each
-/// stream on its own built 712. A flow-level build also makes
+/// generator of 13 stages and 36 decode steps re-lowered without names
+/// (190 distinct shapes), `K = 16` and `continuous(4)` then makes 13
+/// executes and 16 row calls per platform, 29 backends in all, where
+/// tabulating each stream on its own built 712. A flow-level build also makes
 /// `stages + K` calls, where one call per plane cell made
 /// `stages + K²`.
 ///
@@ -414,9 +418,9 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
         // columns of the per-stream table (identical workloads at
         // identical contention — copied so it is bit-for-bit exact,
         // free, and keeps `max_batch = 1` ≡ per-stream by
-        // construction). Deeper planes re-lower each decode step with
-        // `b` generations coalesced and tabulate it at every contention
-        // level a `b`-deep group can coexist with
+        // construction). Deeper planes re-lower each decode step,
+        // without names, with `b` generations coalesced and tabulate it
+        // at every contention level a `b`-deep group can coexist with
         // (`1..=max_concurrency - b + 1` execution streams).
         let batching = cfg.batching.is_continuous() && m.n_stages() > 1;
         let max_b = if batching && m.generator_spec.is_some() {
@@ -432,12 +436,20 @@ pub fn build_profiles(cfg: &ServeConfig) -> Result<ServiceProfiles, ServeError> 
         for stage in m.stages() {
             table.add_stream(stage)?;
         }
-        for b in 2..=max_b {
-            for step in 0..n_steps {
-                let relowered = m
-                    .decode_step_at_batch(step, b as u32)
-                    .expect("only generators get batched streams");
-                table.add_stream(&relowered)?;
+        if let Some(spec) = &m.generator_spec {
+            // `ServedModel::decode_step_at_batch` but nameless: the table
+            // keeps no names, so none are formatted. `validate` bounds
+            // `spec.batch × max_b × heads` to a u32.
+            for b in 2..=max_b as u32 {
+                for step in 0..n_steps as u32 {
+                    let relowered = lumos_xformer::extract_decode_workloads_nameless(
+                        &spec.arch,
+                        spec.prompt_len + step,
+                        spec.batch * b,
+                        spec.precision,
+                    );
+                    table.add_stream(&relowered)?;
+                }
             }
         }
         let n_streams = table.streams();

@@ -31,7 +31,6 @@ pub struct BandwidthServer {
     rate_gbps_milli: u64, // fixed-point Gb/s * 1000, keeps Eq/determinism
     busy_until: SimTime,
     served_bits: u64,
-    busy_ps: u64,
 }
 
 /// The outcome of submitting a transfer to a [`BandwidthServer`].
@@ -66,7 +65,6 @@ impl BandwidthServer {
             rate_gbps_milli: milli,
             busy_until: SimTime::ZERO,
             served_bits: 0,
-            busy_ps: 0,
         }
     }
 
@@ -98,11 +96,18 @@ impl BandwidthServer {
     /// Submits a transfer of `bits` arriving at time `at`; returns its
     /// start/finish grant and updates the server state.
     pub fn serve(&mut self, at: SimTime, bits: u64) -> Grant {
+        self.occupy(at, serialization_time(bits, self.rate_gbps()), bits)
+    }
+
+    /// Submits a transfer of `bits` arriving at time `at` whose
+    /// serialization time `dur` the caller already computed at this
+    /// server's rate: [`BandwidthServer::serve`] without the division.
+    /// The transfer starts once it has arrived and the server is free,
+    /// holds the server for `dur`, and counts `bits` as served.
+    pub fn occupy(&mut self, at: SimTime, dur: SimTime, bits: u64) -> Grant {
         let start = at.max(self.busy_until);
-        let dur = serialization_time(bits, self.rate_gbps());
         let finish = start + dur;
         self.busy_until = finish;
-        self.busy_ps += dur.as_ps();
         self.account(bits);
         Grant {
             start,
@@ -114,8 +119,8 @@ impl BandwidthServer {
     /// Counts `bits` as served without occupying the server: the
     /// accounting half of [`BandwidthServer::serve`], which calls it
     /// once per transfer. A caller that already knows a transfer's
-    /// timing replays it with this alone; the busy horizon and busy
-    /// time are left as they were.
+    /// timing replays it with this alone; the busy horizon is left as
+    /// it was.
     pub fn account(&mut self, bits: u64) {
         self.served_bits += bits;
     }
@@ -125,22 +130,10 @@ impl BandwidthServer {
         self.served_bits
     }
 
-    /// Utilization over `[0, end]`: fraction of time the server was busy.
-    /// Returns 0 for an empty window.
-    pub fn utilization(&self, end: SimTime) -> f64 {
-        let w = end.as_ps();
-        if w == 0 {
-            0.0
-        } else {
-            (self.busy_ps as f64 / w as f64).min(1.0)
-        }
-    }
-
     /// Resets the server to idle at time zero, clearing statistics.
     pub fn reset(&mut self) {
         self.busy_until = SimTime::ZERO;
         self.served_bits = 0;
-        self.busy_ps = 0;
     }
 }
 
@@ -226,14 +219,31 @@ impl ServerPool {
     /// Splits `bits` evenly across all active servers and returns the grant
     /// of the slowest stripe — models striping one layer's weight stream
     /// over several gateways.
+    ///
+    /// Every server of a pool runs at one rate: [`ServerPool::new`]
+    /// builds them so and [`ServerPool::set_rate_gbps`] sets them all.
+    /// So the two stripe sizes (`bits / active` and one bit more for the
+    /// first `bits % active` servers) are timed once each, and every
+    /// server is [occupied](BandwidthServer::occupy) for its stripe's
+    /// time: each grant is the one [`BandwidthServer::serve`] gives.
     pub fn serve_striped(&mut self, at: SimTime, bits: u64) -> Grant {
         let n = self.active as u64;
         let per = bits / n;
         let rem = bits % n;
+        let rate = self.servers[0].rate_gbps();
+        let short = serialization_time(per, rate);
+        let long = if rem > 0 {
+            serialization_time(per + 1, rate)
+        } else {
+            short
+        };
         let mut worst: Option<Grant> = None;
-        for i in 0..self.active {
-            let b = per + if (i as u64) < rem { 1 } else { 0 };
-            let g = self.servers[i].serve(at, b);
+        for (i, server) in self.servers[..self.active].iter_mut().enumerate() {
+            let g = if (i as u64) < rem {
+                server.occupy(at, long, per + 1)
+            } else {
+                server.occupy(at, short, per)
+            };
             worst = Some(match worst {
                 None => g,
                 Some(w) if g.finish > w.finish => g,
@@ -280,14 +290,6 @@ mod tests {
         let g = s.serve(SimTime::from_ns(100), 10);
         assert_eq!(g.start, SimTime::from_ns(100));
         assert_eq!(g.queue_delay, SimTime::ZERO);
-    }
-
-    #[test]
-    fn utilization_accounts_busy_time_only() {
-        let mut s = BandwidthServer::new(1.0);
-        let _ = s.serve(SimTime::ZERO, 100);
-        assert!((s.utilization(SimTime::from_ns(200)) - 0.5).abs() < 1e-9);
-        assert_eq!(s.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the simulation kernel invariants.
 
-use lumos_sim::resource::{BandwidthServer, ServerPool};
+use lumos_sim::resource::{BandwidthServer, Grant, ServerPool};
 use lumos_sim::time::serialization_time;
 use lumos_sim::SimTime;
 use proptest::prelude::*;
@@ -52,23 +52,61 @@ proptest! {
         prop_assert!(g_large.finish <= g_small.finish);
     }
 
-    /// Pool utilization of every server stays within [0, 1].
+    /// A striped transfer times each stripe size once, so it must grant
+    /// what each active server grants serving its own stripe with
+    /// `BandwidthServer::serve`: the slowest stripe's grant (the first
+    /// of equal finishes), and afterwards every server's next grant.
     #[test]
-    fn utilization_bounded(
-        jobs in proptest::collection::vec(1u64..100_000, 1..50),
-        n in 1usize..8,
+    fn striping_equals_per_server_serves(
+        rate in 0.001f64..2_000.0,
+        preload in proptest::collection::vec((0u64..1_000_000, 1u64..100_000), 0..=16),
+        transfers in proptest::collection::vec(
+            (1usize..=16, 0u64..2_000_000, (0u64..100_000, prop::bool::ANY)),
+            1..4,
+        ),
     ) {
-        let mut p = ServerPool::new(n, 12.0);
-        let mut end = SimTime::ZERO;
-        for bits in jobs {
-            let g = p.serve(end, bits);
-            end = g.finish;
+        let mut pool = ServerPool::new(16, rate);
+        let mut servers = vec![BandwidthServer::new(rate); 16];
+        // From idle, the i-th transfer lands on server i: the servers
+        // before it are busy, and ties go to the lowest index.
+        for (server, &(at, bits)) in servers.iter_mut().zip(&preload) {
+            let at = SimTime::from_ps(at);
+            prop_assert_eq!(pool.serve(at, bits), server.serve(at, bits));
         }
-        // Aggregate served bits imply utilization <= 1 on each server by
-        // construction; sanity-check via a fresh single server.
-        let mut s = BandwidthServer::new(12.0);
-        let _ = s.serve(SimTime::ZERO, 1000);
-        let u = s.utilization(end.max(SimTime::from_ns(1)));
-        prop_assert!((0.0..=1.0).contains(&u));
+        for &(active, at, (bits, small)) in &transfers {
+            // Small counts leave some stripes at zero bits.
+            let bits = if small { bits % 40 } else { bits };
+            let at = SimTime::from_ps(at);
+            pool.set_active(active);
+            let (per, rem) = (bits / active as u64, bits % active as u64);
+            let mut slowest: Option<Grant> = None;
+            for (i, server) in servers[..active].iter_mut().enumerate() {
+                let g = server.serve(at, per + u64::from((i as u64) < rem));
+                if slowest.is_none_or(|w| g.finish > w.finish) {
+                    slowest = Some(g);
+                }
+            }
+            prop_assert_eq!(Some(pool.serve_striped(at, bits)), slowest);
+        }
+        // Each server's next grant: probes so long that every server
+        // takes exactly one, in the order the servers free up.
+        pool.set_active(16);
+        let probe = 1u64 << 40;
+        let mut next: Vec<(SimTime, usize, Grant)> = servers
+            .iter_mut()
+            .enumerate()
+            .map(|(i, s)| {
+                let g = s.serve(SimTime::ZERO, probe);
+                (g.start, i, g)
+            })
+            .collect();
+        next.sort_by_key(|&(start, i, _)| (start, i));
+        for (_, _, g) in next {
+            prop_assert_eq!(pool.serve(SimTime::ZERO, probe), g);
+        }
+        prop_assert_eq!(
+            pool.served_bits(),
+            servers.iter().map(BandwidthServer::served_bits).sum::<u64>()
+        );
     }
 }

@@ -158,11 +158,20 @@ impl DecodePhase {
 ///
 /// # Panics
 ///
-/// Panics if `batch == 0`, if `cfg` fails
+/// Panics if `batch == 0`, if `batch × heads` (the batch of the
+/// per-head score and context GEMMs) overflows `u32`, if `cfg` fails
 /// [`TransformerConfig::validate`], or if `cfg` is a patch model
 /// ([`Embedding::Patch`]): ViT-style encoders classify in one pass and
 /// have no autoregressive decode phase.
 pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<XformerOp> {
+    lower_step(cfg, cache_len, batch, true)
+}
+
+/// The one decode-step lowering behind [`decode_ops`] and the two
+/// workload lowerings: every op `decode_ops` documents, named
+/// (`l3_scores`, `lm_head`, …) when `named`, with empty names
+/// otherwise.
+fn lower_step(cfg: &TransformerConfig, cache_len: u32, batch: u32, named: bool) -> Vec<XformerOp> {
     assert!(batch > 0, "batch must be at least 1");
     cfg.validate();
     assert!(
@@ -175,8 +184,18 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
     let h = cfg.heads;
     let dh = cfg.head_dim();
     let f = cfg.d_ff;
+    let bh = b
+        .checked_mul(h)
+        .unwrap_or_else(|| panic!("{}: batch {b} × {h} heads overflows u32", cfg.name));
     let ctx = cache_len as u64 + 1;
     let bd = b as u64 * d as u64; // one hidden-state row per stream
+
+    // `l{l}_{op}` inside layer `l`, the op alone outside the stack.
+    let name = |layer: Option<u32>, op: &str| match (named, layer) {
+        (false, _) => String::new(),
+        (true, Some(l)) => format!("l{l}_{op}"),
+        (true, None) => op.to_owned(),
+    };
 
     let mut ops = Vec::with_capacity(2 + 10 * cfg.layers as usize + 4);
 
@@ -191,7 +210,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
     {
         let gathered = bd + (1 + u64::from(segments > 0)) * d as u64;
         ops.push(XformerOp::elementwise(
-            "embed".into(),
+            name(None, "embed"),
             OpKind::Embed,
             KernelClass::Norm,
             b as u64,
@@ -200,7 +219,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
         ));
         if layer_norm {
             ops.push(XformerOp::elementwise(
-                "embed_norm".into(),
+                name(None, "embed_norm"),
                 OpKind::Embed,
                 KernelClass::Norm,
                 b as u64,
@@ -211,7 +230,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
     }
 
     for l in 0..cfg.layers {
-        let p = |op: &str| format!("l{l}_{op}");
+        let p = |op: &str| name(Some(l), op);
         ops.push(XformerOp::gemm(
             p("qkv"),
             OpKind::QkvProj,
@@ -245,7 +264,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
             1,
             ctx as u32,
             dh,
-            b * h,
+            bh,
             0,
             bd + bd * ctx, // q, then K over the context
         ));
@@ -265,7 +284,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
             1,
             dh,
             ctx as u32,
-            b * h,
+            bh,
             0,
             score_rows * ctx + bd * ctx, // attention weights, then V
         ));
@@ -320,7 +339,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
     // Tail: same structure as prefill at a single position.
     if cfg.final_layer_norm {
         ops.push(XformerOp::elementwise(
-            "final_norm".into(),
+            name(None, "final_norm"),
             OpKind::FinalNorm,
             KernelClass::Norm,
             b as u64,
@@ -330,7 +349,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
     }
     if cfg.pooler {
         ops.push(XformerOp::gemm(
-            "pooler".into(),
+            name(None, "pooler"),
             OpKind::Pooler,
             1,
             d,
@@ -343,7 +362,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
     if cfg.tied_lm_head {
         if let Embedding::Token { vocab, .. } = cfg.embedding {
             ops.push(XformerOp::gemm(
-                "lm_head".into(),
+                name(None, "lm_head"),
                 OpKind::Head,
                 1,
                 vocab,
@@ -353,7 +372,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
                 bd,
             ));
             ops.push(XformerOp::elementwise(
-                "lm_head_softmax".into(),
+                name(None, "lm_head_softmax"),
                 OpKind::HeadSoftmax,
                 KernelClass::Softmax,
                 b as u64,
@@ -364,7 +383,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
     }
     if let Some(units) = cfg.head_units {
         ops.push(XformerOp::gemm(
-            "head".into(),
+            name(None, "head"),
             OpKind::Head,
             1,
             units,
@@ -374,7 +393,7 @@ pub fn decode_ops(cfg: &TransformerConfig, cache_len: u32, batch: u32) -> Vec<Xf
             bd,
         ));
         ops.push(XformerOp::elementwise(
-            "head_softmax".into(),
+            name(None, "head_softmax"),
             OpKind::HeadSoftmax,
             KernelClass::Softmax,
             b as u64,
@@ -413,6 +432,26 @@ pub fn extract_decode_workloads(
     precision: Precision,
 ) -> Vec<LayerWorkload> {
     decode_ops(cfg, cache_len, batch)
+        .iter()
+        .map(|op| op.to_workload(precision))
+        .collect()
+}
+
+/// [`extract_decode_workloads`] with every name left empty: the same
+/// workloads, field for field, but for `name`. A GPT-2 step names 124
+/// layers; a caller that keeps only their shapes (a
+/// `lumos_core::ShapeTable`) need not format them.
+///
+/// # Panics
+///
+/// As [`decode_ops`].
+pub fn extract_decode_workloads_nameless(
+    cfg: &TransformerConfig,
+    cache_len: u32,
+    batch: u32,
+    precision: Precision,
+) -> Vec<LayerWorkload> {
+    lower_step(cfg, cache_len, batch, false)
         .iter()
         .map(|op| op.to_workload(precision))
         .collect()
@@ -585,5 +624,12 @@ mod tests {
     #[should_panic(expected = "batch must be at least 1")]
     fn zero_batch_rejected() {
         let _ = decode_ops(&zoo::gpt2_small(), 128, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch 1073741824 × 12 heads overflows u32")]
+    fn batch_times_heads_overflow_rejected() {
+        let _ =
+            extract_decode_workloads_nameless(&zoo::gpt2_small(), 128, 1 << 30, Precision::int8());
     }
 }

@@ -51,6 +51,8 @@ pub mod ops;
 pub mod zoo;
 
 pub use config::{Embedding, TransformerConfig};
-pub use decode::{decode_ops, extract_decode_workloads, DecodePhase, KvCache};
+pub use decode::{
+    decode_ops, extract_decode_workloads, extract_decode_workloads_nameless, DecodePhase, KvCache,
+};
 pub use dse::DecodePoint;
 pub use ops::{extract_transformer_workloads, transformer_ops, OpKind, XformerOp};

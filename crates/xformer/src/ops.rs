@@ -185,7 +185,9 @@ impl XformerOp {
 ///
 /// # Panics
 ///
-/// Panics if `batch == 0` or `cfg` fails [`TransformerConfig::validate`].
+/// Panics if `batch == 0`, if `batch × heads` (the batch of the
+/// per-head score and context GEMMs) overflows `u32`, or if `cfg` fails
+/// [`TransformerConfig::validate`].
 pub fn transformer_ops(cfg: &TransformerConfig, seq_len: u32, batch: u32) -> Vec<XformerOp> {
     assert!(batch > 0, "batch must be at least 1");
     cfg.validate();
@@ -195,6 +197,9 @@ pub fn transformer_ops(cfg: &TransformerConfig, seq_len: u32, batch: u32) -> Vec
     let h = cfg.heads;
     let dh = cfg.head_dim();
     let f = cfg.d_ff;
+    let bh = b
+        .checked_mul(h)
+        .unwrap_or_else(|| panic!("{}: batch {b} × {h} heads overflows u32", cfg.name));
     let (bs, sd) = (b as u64 * s as u64, s as u64 * d as u64);
     let tokens_d = b as u64 * sd; // B·S·D hidden-state elements
 
@@ -273,7 +278,7 @@ pub fn transformer_ops(cfg: &TransformerConfig, seq_len: u32, batch: u32) -> Vec
             s,
             s,
             dh,
-            b * h,
+            bh,
             0,
             2 * tokens_d, // Q and K
         ));
@@ -292,7 +297,7 @@ pub fn transformer_ops(cfg: &TransformerConfig, seq_len: u32, batch: u32) -> Vec
             s,
             dh,
             s,
-            b * h,
+            bh,
             0,
             score_rows * s as u64 + tokens_d, // attention weights and V
         ));
@@ -551,5 +556,11 @@ mod tests {
     #[should_panic(expected = "batch must be at least 1")]
     fn zero_batch_rejected() {
         let _ = transformer_ops(&zoo::bert_base(), 128, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch 1073741824 × 12 heads overflows u32")]
+    fn batch_times_heads_overflow_rejected() {
+        let _ = transformer_ops(&zoo::bert_base(), 128, 1 << 30);
     }
 }

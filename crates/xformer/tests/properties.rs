@@ -4,7 +4,9 @@
 
 use lumos_dnn::workload::{totals, KernelClass, Precision};
 use lumos_xformer::config::{Embedding, TransformerConfig};
-use lumos_xformer::decode::{decode_ops, extract_decode_workloads, KvCache};
+use lumos_xformer::decode::{
+    decode_ops, extract_decode_workloads, extract_decode_workloads_nameless, KvCache,
+};
 use lumos_xformer::ops::{extract_transformer_workloads, transformer_ops, OpKind};
 use proptest::prelude::*;
 
@@ -211,6 +213,7 @@ proptest! {
 
     /// KV traffic is strictly monotone in cache depth: a deeper cache
     /// means more bits read per step (and identical weight traffic).
+    /// The nameless lowering is the named one with its names cleared.
     #[test]
     fn kv_traffic_monotone_in_cache_depth(
         cfg in random_transformer(),
@@ -218,7 +221,15 @@ proptest! {
         deeper_by in 1u32..512,
         batch in 1u32..4,
     ) {
-        let a = totals(&extract_decode_workloads(&cfg, cache, batch, Precision::int8()));
+        let mut named = extract_decode_workloads(&cfg, cache, batch, Precision::int8());
+        let a = totals(&named);
+        for w in &mut named {
+            w.name.clear();
+        }
+        prop_assert_eq!(
+            extract_decode_workloads_nameless(&cfg, cache, batch, Precision::int8()),
+            named
+        );
         let b = totals(
             &extract_decode_workloads(&cfg, cache + deeper_by, batch, Precision::int8()),
         );
